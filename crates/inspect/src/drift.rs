@@ -100,7 +100,11 @@ mod tests {
     use std::io::Write;
 
     fn ranks_from(lines: &str) -> Vec<RankMetrics> {
-        let p = std::env::temp_dir().join(format!("tsgemm-drift-{}.jsonl", std::process::id()));
+        // Tests run in parallel: one file per call, not one per process.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let p =
+            std::env::temp_dir().join(format!("tsgemm-drift-{}-{call}.jsonl", std::process::id()));
         let mut f = std::fs::File::create(&p).unwrap();
         f.write_all(lines.as_bytes()).unwrap();
         let r = load_metrics_jsonl(&p).unwrap();

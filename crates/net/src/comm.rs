@@ -1,50 +1,51 @@
-//! The communicator: lock-step collectives over in-memory mailboxes.
+//! The communicator: lock-step collectives over a per-group exchange slab.
 //!
 //! Every rank of a group holds a [`Comm`]. Collectives must be invoked by
-//! all group members in the same order (the usual MPI contract); each
-//! message carries a `(sequence, kind)` envelope and receivers verify that
-//! envelopes match, so a mismatched collective fails loudly instead of
-//! deadlocking silently.
+//! all group members in the same order (the usual MPI contract). Each one
+//! runs the same three steps on the group's exchange slab (`slab.rs`):
 //!
-//! Payloads are moved, not serialized: a rank "sends" a `Vec<T>` by boxing
-//! it and handing ownership through a channel. Byte accounting uses
-//! `len * size_of::<T>()`, which corresponds to the dense wire size an MPI
-//! implementation would transfer for the same typed buffer.
+//! 1. **Post.** The rank writes its whole send side into its own slot once,
+//!    stamped with `(sequence, kind)` and the declared element counts. An
+//!    alltoallv posts its `Vec<Vec<T>>`; a bcast root posts its value; a
+//!    barrier posts only the stamp.
+//! 2. **Release.** The rank arrives at the group's generation barrier. The
+//!    last arriver releases everyone.
+//! 3. **Read.** The rank checks every member's stamp, so a mismatched
+//!    collective fails loudly with [`CommError::CollectiveMismatch`]
+//!    instead of deadlocking or mixing data. Then it takes its column of
+//!    each peer's alltoallv by move, or clones a shared value (allgatherv,
+//!    bcast, allreduce). The last reader of a posting takes it by move.
+//!
+//! Payloads are moved, not serialized, and an empty send costs nothing but
+//! its slot. Byte accounting uses `len * size_of::<T>()`, which corresponds
+//! to the dense wire size an MPI implementation would transfer for the same
+//! typed buffer.
 //!
 //! Every collective exists in two forms: a fallible `try_*` variant that
 //! returns a typed [`CommError`] (the form fault-tolerant callers use, and
 //! the only form that can observe injected faults), and the classic
 //! infallible wrapper that delegates and panics on error — preserving the
 //! fail-fast MPI behaviour for callers that want it. When a rank runs under
-//! [`crate::World::try_run`] with a non-empty [`crate::FaultPlan`], receives
-//! poll a shared [`crate::fault::FailureBoard`] so a dead peer surfaces as
-//! [`CommError::PeerExited`] instead of an eternal hang.
+//! [`crate::World::try_run`] with a non-empty [`crate::FaultPlan`], barrier
+//! waits poll a shared [`crate::fault::FailureBoard`] so a dead peer
+//! surfaces as [`CommError::PeerExited`] instead of an eternal hang. Under
+//! [`crate::World::run`] a panicking rank poisons the groups instead, and
+//! the peers parked on them unwind.
 
 use crate::fault::{CommError, FailureInfo, FaultCtx, FaultKind, ParkedPosition};
 use crate::flight::{FlightEventKind, FlightRecorder, FlightTag};
 use crate::metrics::MetricsRegistry;
+use crate::slab::{Payload, Slab, Wake};
 use crate::stats::{CollKind, CollectiveRecord, GroupInfo, RankProfile};
 use crate::telemetry::{RankTelemetry, TelEventKind};
 use crate::trace::TraceConfig;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::any::Any;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Barrier};
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often a fault-aware receive re-checks the failure board while parked.
+/// How often a fault-aware barrier wait re-checks the failure board.
 const PARK_POLL: Duration = Duration::from_millis(2);
-
-struct Msg {
-    src: usize,
-    seq: u64,
-    kind: CollKind,
-    /// Element count the sender declared for vector payloads; receivers
-    /// compare it against what actually arrived to detect truncation.
-    declared_len: Option<u64>,
-    payload: Box<dyn Any + Send>,
-}
 
 /// Marker payload substituted by [`FaultKind::Corrupt`]; receivers fail the
 /// typed downcast and report [`CommError::PayloadTypeMismatch`].
@@ -57,7 +58,7 @@ struct EntryFx {
     op: u64,
     /// Modeled straggler delay to attach to this collective's record.
     delay_secs: f64,
-    /// Payload tampering to apply to outgoing sends.
+    /// Payload tampering to apply to the posted payload.
     tamper: Option<FaultKind>,
 }
 
@@ -71,34 +72,81 @@ impl EntryFx {
     }
 }
 
+/// The collective a rank is inside: what errors and park reports name.
+struct Coll<'t> {
+    seq: u64,
+    kind: CollKind,
+    tag: &'t str,
+    /// Index in the rank's global collective stream (see [`EntryFx::op`]).
+    op: u64,
+}
+
+impl Coll<'_> {
+    fn parked(&self) -> ParkedPosition {
+        ParkedPosition {
+            op_index: self.op,
+            seq: self.seq,
+            kind: self.kind,
+            tag: self.tag.to_string(),
+        }
+    }
+}
+
+/// Applies vector-payload tampering to one buffer: truncation keeps the
+/// floor of `keep` of its elements.
+fn truncate<T>(v: &mut Vec<T>, tamper: &Option<FaultKind>) {
+    if let Some(FaultKind::Truncate { keep }) = tamper {
+        let keep_n = ((v.len() as f64) * keep.clamp(0.0, 1.0)).floor() as usize;
+        v.truncate(keep_n);
+    }
+}
+
+/// Boxes `value` for posting, or substitutes garbage under corruption.
+fn boxed<V: Send + 'static>(value: V, tamper: &Option<FaultKind>) -> Payload {
+    match tamper {
+        Some(FaultKind::Corrupt) => Box::new(CorruptPayload),
+        _ => Box::new(value),
+    }
+}
+
+/// Takes a posted value by move; `None` when it is not a `V`.
+fn take_posted<V: 'static>(payload: &mut Option<Payload>) -> Option<V> {
+    payload.take()?.downcast::<V>().ok().map(|b| *b)
+}
+
+/// Clones a posted value, or moves it out when this is the last reader.
+fn share_posted<V: Clone + 'static>(payload: &mut Option<Payload>, last: bool) -> Option<V> {
+    if last {
+        take_posted(payload)
+    } else {
+        payload.as_deref()?.downcast_ref::<V>().cloned()
+    }
+}
+
 /// Shared state of one communicator group.
 pub(crate) struct GroupShared {
     info: Arc<GroupInfo>,
-    /// One inbound channel per member (indexed by group rank).
-    senders: Vec<Sender<Msg>>,
-    receivers: Vec<Receiver<Msg>>,
-    barrier: Barrier,
+    slab: Slab,
     /// Sub-groups created by `split`, keyed by (split generation, color).
     splits: Mutex<HashMap<(u64, usize), Arc<GroupShared>>>,
 }
 
 impl GroupShared {
     pub(crate) fn new(world_ranks: Vec<usize>) -> Arc<Self> {
-        let size = world_ranks.len();
-        let mut senders = Vec::with_capacity(size);
-        let mut receivers = Vec::with_capacity(size);
-        for _ in 0..size {
-            let (s, r) = unbounded();
-            senders.push(s);
-            receivers.push(r);
-        }
         Arc::new(Self {
+            slab: Slab::new(world_ranks.len()),
             info: Arc::new(GroupInfo { world_ranks }),
-            senders,
-            receivers,
-            barrier: Barrier::new(size),
             splits: Mutex::new(HashMap::new()),
         })
+    }
+
+    /// Aborts this group and every group split from it: current and future
+    /// barrier waiters unwind instead of waiting for a rank that panicked.
+    pub(crate) fn poison(&self) {
+        self.slab.poison();
+        for sub in self.splits.lock().values() {
+            sub.poison();
+        }
     }
 }
 
@@ -108,8 +156,6 @@ pub struct Comm {
     rank: usize,
     seq: u64,
     split_gen: u64,
-    /// Out-of-order messages parked until their source is being drained.
-    pending: Vec<VecDeque<Msg>>,
     profile: Arc<Mutex<RankProfile>>,
     /// The rank's metrics registry (shared with sub-communicators); only
     /// populated when [`Comm::trace_on`] — collectives never touch it.
@@ -138,13 +184,11 @@ impl Comm {
         flight: Arc<Mutex<FlightRecorder>>,
         trace: TraceConfig,
     ) -> Self {
-        let size = group.info.world_ranks.len();
         Self {
             group,
             rank,
             seq: 0,
             split_gen: 0,
-            pending: (0..size).map(|_| VecDeque::new()).collect(),
             profile,
             metrics,
             flight,
@@ -357,236 +401,174 @@ impl Comm {
     /// Publishes a fatal (non-retryable) error on the failure board so
     /// peers waiting on this rank cascade into `PeerExited` instead of
     /// hanging, then hands the error back.
-    fn fatal(&self, err: CommError, at: ParkedPosition) -> CommError {
+    fn fatal(&self, err: CommError, c: &Coll) -> CommError {
         if let Some(ctx) = &self.fault {
             ctx.board.mark_failed(FailureInfo {
                 world_rank: ctx.world_rank,
-                parked: Some(at),
+                parked: Some(c.parked()),
                 cause: err.to_string(),
             });
         }
         err
     }
 
-    fn parked_at(&self, op: u64, seq: u64, kind: CollKind, tag: &str) -> ParkedPosition {
-        ParkedPosition {
-            op_index: op,
-            seq,
-            kind,
-            tag: tag.to_string(),
-        }
-    }
-
-    fn send_to(
-        &self,
-        dst: usize,
-        seq: u64,
-        kind: CollKind,
-        declared_len: Option<u64>,
-        payload: Box<dyn Any + Send>,
-    ) {
-        // The receiver half lives in `GroupShared`, which outlives every
-        // rank, so a send cannot fail while the run is alive; a dead peer is
-        // detected on the receive side instead.
-        let _ = self.group.senders[dst].send(Msg {
-            src: self.rank,
-            seq,
-            kind,
-            declared_len,
-            payload,
-        });
-    }
-
-    /// Sends a vector payload, applying any active tampering. Returns the
-    /// bytes the sender *intended* to move (accounting charges the declared
-    /// payload even when a fault shortens or garbles the wire data).
-    fn send_vec<T: Send + 'static>(
-        &self,
-        dst: usize,
-        seq: u64,
-        kind: CollKind,
-        data: Vec<T>,
-        tamper: &Option<FaultKind>,
-    ) -> u64 {
-        let declared = data.len() as u64;
-        let bytes = declared * std::mem::size_of::<T>() as u64;
-        match tamper {
-            Some(FaultKind::Corrupt) => {
-                self.send_to(dst, seq, kind, Some(declared), Box::new(CorruptPayload));
-            }
-            Some(FaultKind::Truncate { keep }) => {
-                let mut d = data;
-                let keep_n = ((declared as f64) * keep.clamp(0.0, 1.0)).floor() as usize;
-                d.truncate(keep_n.min(d.len()));
-                self.send_to(dst, seq, kind, Some(declared), Box::new(d));
-            }
-            _ => self.send_to(dst, seq, kind, Some(declared), Box::new(data)),
-        }
-        bytes
-    }
-
-    /// Receives the message for (`src`, `seq`, `kind`), parking any
-    /// out-of-order messages from other sources. Under an active fault
-    /// context the wait polls the failure board, so a crashed or finished
-    /// peer produces [`CommError::PeerExited`] rather than a hang.
-    fn try_recv_from(
+    /// Enters a collective: consults the fault plan, then takes the next
+    /// sequence number.
+    fn begin<'t>(
         &mut self,
-        src: usize,
-        seq: u64,
         kind: CollKind,
-        tag: &str,
-        op: u64,
-    ) -> Result<Msg, CommError> {
-        if let Some(front) = self.pending[src].front() {
-            if (front.seq, front.kind) != (seq, kind) {
-                let (got_seq, got_kind) = (front.seq, front.kind);
-                let err = CommError::CollectiveMismatch {
-                    rank: self.rank,
-                    src,
-                    expected_kind: kind,
-                    expected_seq: seq,
-                    got_kind,
-                    got_seq,
-                    tag: tag.to_string(),
-                };
-                return Err(self.fatal(err, self.parked_at(op, seq, kind, tag)));
-            }
-            return Ok(self.pending[src].pop_front().unwrap());
-        }
+        tag: &'t str,
+    ) -> Result<(Coll<'t>, EntryFx), CommError> {
+        let fx = self.fault_entry(kind, tag)?;
+        let coll = Coll {
+            seq: self.next_seq(),
+            kind,
+            tag,
+            op: fx.op,
+        };
+        Ok((coll, fx))
+    }
+
+    /// Posts this rank's side of `c` for `readers` peers (see
+    /// [`Slab::post`]), waits until the whole group has posted, and checks
+    /// that every member posted the same `(seq, kind)`.
+    fn exchange(
+        &self,
+        c: &Coll,
+        readers: usize,
+        fill: impl FnOnce(&mut Vec<u64>) -> Option<Payload>,
+    ) -> Result<(), CommError> {
+        let slab = &self.group.slab;
+        slab.post(self.rank, c.seq, c.kind, readers, fill);
         if let Some(ctx) = &self.fault {
-            ctx.board
-                .set_parked(ctx.world_rank, self.parked_at(op, seq, kind, tag));
+            ctx.board.set_parked(ctx.world_rank, c.parked());
         }
-        loop {
-            let msg = if let Some(ctx) = &self.fault {
-                match self.group.receivers[self.rank].recv_timeout(PARK_POLL) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        let src_world = self.group.info.world_ranks[src];
-                        let peer_cause = if let Some(info) = ctx.board.failure_of(src_world) {
-                            Some(info.cause)
-                        } else if ctx.board.is_done(src_world) {
-                            Some("completed without a matching collective".to_string())
-                        } else if e == RecvTimeoutError::Disconnected {
-                            Some("mailbox disconnected".to_string())
-                        } else {
-                            None
-                        };
-                        match peer_cause {
-                            Some(cause) => {
-                                let err = CommError::PeerExited {
-                                    rank: self.rank,
-                                    peer_world: src_world,
-                                    seq,
-                                    kind,
-                                    tag: tag.to_string(),
-                                    peer_cause: cause,
-                                };
-                                return Err(self.fatal(err, self.parked_at(op, seq, kind, tag)));
-                            }
-                            None => continue,
+        if let Some(gen) = slab.arrive() {
+            let poll = self.fault.as_ref().map(|_| PARK_POLL);
+            loop {
+                match slab.wait(self.rank, gen, poll) {
+                    Wake::Released => break,
+                    Wake::Poisoned => panic!(
+                        "collective aborted: a peer rank panicked while rank {} \
+                         waited on {:?} #{} (tag '{}')",
+                        self.rank, c.kind, c.seq, c.tag
+                    ),
+                    Wake::TimedOut => {
+                        if let Some(err) = self.exited_peer(c) {
+                            return Err(self.fatal(err, c));
                         }
                     }
                 }
-            } else {
-                match self.group.receivers[self.rank].recv() {
-                    Ok(m) => m,
-                    Err(_) => {
-                        // Unreachable in practice (senders live in the shared
-                        // group state), but surface it as a typed error.
-                        return Err(CommError::PeerExited {
-                            rank: self.rank,
-                            peer_world: self.group.info.world_ranks[src],
-                            seq,
-                            kind,
-                            tag: tag.to_string(),
-                            peer_cause: "mailbox disconnected".to_string(),
-                        });
+            }
+        }
+        for src in 0..self.size() {
+            let got = slab.stamp(c.seq, src);
+            if got != Some((c.seq, c.kind)) {
+                let (got_seq, got_kind) = got.unwrap_or((u64::MAX, c.kind));
+                let err = CommError::CollectiveMismatch {
+                    rank: self.rank,
+                    src,
+                    expected_kind: c.kind,
+                    expected_seq: c.seq,
+                    got_kind,
+                    got_seq,
+                    tag: c.tag.to_string(),
+                };
+                return Err(self.fatal(err, c));
+            }
+        }
+        Ok(())
+    }
+
+    /// The lowest-ranked member that has not posted `c` and that the
+    /// failure board marks failed or done, as a [`CommError::PeerExited`].
+    fn exited_peer(&self, c: &Coll) -> Option<CommError> {
+        let board = &self.fault.as_ref()?.board;
+        (0..self.size())
+            .filter(|&m| !self.group.slab.posted(c.seq, m))
+            .find_map(|m| {
+                let world = self.group.info.world_ranks[m];
+                let cause = match board.failure_of(world) {
+                    Some(info) => info.cause,
+                    None if board.is_done(world) => {
+                        "completed without a matching collective".to_string()
                     }
-                }
+                    None => return None,
+                };
+                Some(CommError::PeerExited {
+                    rank: self.rank,
+                    peer_world: world,
+                    seq: c.seq,
+                    kind: c.kind,
+                    tag: c.tag.to_string(),
+                    peer_cause: cause,
+                })
+            })
+    }
+
+    /// Reads `src`'s posting of `c` with `f` (see [`Slab::read`]); `None`
+    /// from `f` means the payload had the wrong type.
+    fn read<R>(
+        &self,
+        c: &Coll,
+        src: usize,
+        f: impl FnOnce(&mut Option<Payload>, &[u64], bool) -> Option<R>,
+    ) -> Result<R, CommError> {
+        self.group.slab.read(c.seq, src, f).ok_or_else(|| {
+            let err = CommError::PayloadTypeMismatch {
+                rank: self.rank,
+                src,
+                kind: c.kind,
+                tag: c.tag.to_string(),
             };
-            if msg.src == src {
-                if (msg.seq, msg.kind) != (seq, kind) {
-                    let err = CommError::CollectiveMismatch {
-                        rank: self.rank,
-                        src,
-                        expected_kind: kind,
-                        expected_seq: seq,
-                        got_kind: msg.kind,
-                        got_seq: msg.seq,
-                        tag: tag.to_string(),
-                    };
-                    return Err(self.fatal(err, self.parked_at(op, seq, kind, tag)));
-                }
-                return Ok(msg);
-            }
-            let s = msg.src;
-            self.pending[s].push_back(msg);
-        }
+            self.fatal(err, c)
+        })
     }
 
-    /// Unboxes a vector payload, verifying type and declared length.
-    fn downcast_vec<T: Send + 'static>(
+    /// Reads a single-buffer posting (cloned, or moved by the last reader)
+    /// and checks it against its declared length.
+    fn read_vec<T: Clone + Send + 'static>(
         &self,
-        msg: Msg,
-        kind: CollKind,
-        tag: &str,
-        op: u64,
-        seq: u64,
+        c: &Coll,
+        src: usize,
     ) -> Result<Vec<T>, CommError> {
-        let src = msg.src;
-        let declared = msg.declared_len;
-        match msg.payload.downcast::<Vec<T>>() {
-            Ok(v) => {
-                if let Some(d) = declared {
-                    if v.len() as u64 != d {
-                        let err = CommError::TruncatedPayload {
-                            rank: self.rank,
-                            src,
-                            kind,
-                            tag: tag.to_string(),
-                            declared: d,
-                            got: v.len() as u64,
-                        };
-                        return Err(self.fatal(err, self.parked_at(op, seq, kind, tag)));
-                    }
-                }
-                Ok(*v)
-            }
-            Err(_) => {
-                let err = CommError::PayloadTypeMismatch {
-                    rank: self.rank,
-                    src,
-                    kind,
-                    tag: tag.to_string(),
-                };
-                Err(self.fatal(err, self.parked_at(op, seq, kind, tag)))
-            }
-        }
+        let (v, declared) = self.read(c, src, |payload, lens, last| {
+            Some((share_posted::<Vec<T>>(payload, last)?, lens[0]))
+        })?;
+        self.check_len(c, src, v, declared)
     }
 
-    /// Unboxes a scalar payload, verifying the type.
-    fn downcast_scalar<T: Send + 'static>(
+    /// Verifies that a received buffer has the length its sender declared.
+    fn check_len<T>(
         &self,
-        msg: Msg,
-        kind: CollKind,
-        tag: &str,
-        op: u64,
-        seq: u64,
-    ) -> Result<T, CommError> {
-        let src = msg.src;
-        match msg.payload.downcast::<T>() {
-            Ok(v) => Ok(*v),
-            Err(_) => {
-                let err = CommError::PayloadTypeMismatch {
-                    rank: self.rank,
-                    src,
-                    kind,
-                    tag: tag.to_string(),
-                };
-                Err(self.fatal(err, self.parked_at(op, seq, kind, tag)))
-            }
+        c: &Coll,
+        src: usize,
+        v: Vec<T>,
+        declared: u64,
+    ) -> Result<Vec<T>, CommError> {
+        if v.len() as u64 == declared {
+            return Ok(v);
         }
+        let err = CommError::TruncatedPayload {
+            rank: self.rank,
+            src,
+            kind: c.kind,
+            tag: c.tag.to_string(),
+            declared,
+            got: v.len() as u64,
+        };
+        Err(self.fatal(err, c))
+    }
+
+    /// World ranks of the other group members, in group-rank order.
+    fn peers(&self) -> impl Iterator<Item = usize> + '_ {
+        let me = self.world_rank();
+        self.group
+            .info
+            .world_ranks
+            .iter()
+            .copied()
+            .filter(move |&w| w != me)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -657,7 +639,6 @@ impl Comm {
     /// Fallible [`Comm::alltoallv`]. On [`CommError::Injected`] no
     /// communication happened and the collective may be retried with the
     /// same buffers (callers must keep a copy; the originals are consumed).
-    #[allow(clippy::needless_range_loop)] // dst/src are rank ids, not slice walks
     pub fn try_alltoallv<T: Send + 'static>(
         &mut self,
         mut sends: Vec<Vec<T>>,
@@ -666,36 +647,44 @@ impl Comm {
         let tag = tag.into();
         assert_eq!(sends.len(), self.size(), "one send buffer per rank");
         let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::AllToAllV, &tag)?;
-        let seq = self.next_seq();
+        let (c, fx) = self.begin(CollKind::AllToAllV, &tag)?;
+        let me = self.rank;
         let elem = std::mem::size_of::<T>() as u64;
-        let mut bytes_to = Vec::with_capacity(self.size().saturating_sub(1));
-        for dst in 0..self.size() {
-            if dst == self.rank {
-                continue;
+        let mut own = Some(std::mem::take(&mut sends[me]));
+        // Sized exactly, so an all-empty exchange allocates nothing here.
+        let mut bytes_to = Vec::with_capacity(sends.iter().filter(|v| !v.is_empty()).count());
+        bytes_to.extend(
+            sends
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| !v.is_empty())
+                .map(|(dst, v)| (self.group.info.world_ranks[dst], v.len() as u64 * elem)),
+        );
+        self.exchange(&c, self.size() - 1, |lens| {
+            lens.extend(sends.iter().map(|v| v.len() as u64));
+            for v in &mut sends {
+                truncate(v, &fx.tamper);
             }
-            let data = std::mem::take(&mut sends[dst]);
-            let bytes = data.len() as u64 * elem;
-            if bytes > 0 {
-                bytes_to.push((self.group.info.world_ranks[dst], bytes));
-            }
-            self.send_vec(dst, seq, CollKind::AllToAllV, data, &fx.tamper);
-        }
+            Some(boxed(sends, &fx.tamper))
+        })?;
         let mut received = 0u64;
         let mut recv_msgs = 0u32;
         let mut recvs: Vec<Vec<T>> = Vec::with_capacity(self.size());
         for src in 0..self.size() {
-            if src == self.rank {
-                recvs.push(std::mem::take(&mut sends[src]));
-            } else {
-                let msg = self.try_recv_from(src, seq, CollKind::AllToAllV, &tag, fx.op)?;
-                let data = self.downcast_vec::<T>(msg, CollKind::AllToAllV, &tag, fx.op, seq)?;
-                if !data.is_empty() {
-                    recv_msgs += 1;
-                }
-                received += data.len() as u64 * elem;
-                recvs.push(data);
+            if src == me {
+                recvs.extend(own.take());
+                continue;
             }
+            let (data, declared) = self.read(&c, src, |payload, lens, _| {
+                let rows = payload.as_deref_mut()?.downcast_mut::<Vec<Vec<T>>>()?;
+                Some((std::mem::take(&mut rows[me]), lens[me]))
+            })?;
+            let data = self.check_len(&c, src, data, declared)?;
+            if !data.is_empty() {
+                recv_msgs += 1;
+            }
+            received += data.len() as u64 * elem;
+            recvs.push(data);
         }
         self.record(
             CollKind::AllToAllV,
@@ -729,28 +718,28 @@ impl Comm {
     ) -> Result<Vec<Vec<T>>, CommError> {
         let tag = tag.into();
         let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::AllGatherV, &tag)?;
-        let seq = self.next_seq();
+        let (c, fx) = self.begin(CollKind::AllGatherV, &tag)?;
         let elem = std::mem::size_of::<T>() as u64;
         let own_bytes = data.len() as u64 * elem;
-        let mut bytes_to = Vec::with_capacity(self.size().saturating_sub(1));
-        for dst in 0..self.size() {
-            if dst == self.rank {
-                continue;
-            }
-            if own_bytes > 0 {
-                bytes_to.push((self.group.info.world_ranks[dst], own_bytes));
-            }
-            self.send_vec(dst, seq, CollKind::AllGatherV, data.clone(), &fx.tamper);
-        }
+        let bytes_to: Vec<(usize, u64)> = if own_bytes > 0 {
+            self.peers().map(|w| (w, own_bytes)).collect()
+        } else {
+            Vec::new()
+        };
+        let mut own = Some(data.clone());
+        self.exchange(&c, self.size() - 1, |lens| {
+            lens.push(data.len() as u64);
+            let mut data = data;
+            truncate(&mut data, &fx.tamper);
+            Some(boxed(data, &fx.tamper))
+        })?;
         let mut received = 0u64;
         let mut out = Vec::with_capacity(self.size());
         for src in 0..self.size() {
             if src == self.rank {
-                out.push(data.clone());
+                out.extend(own.take());
             } else {
-                let msg = self.try_recv_from(src, seq, CollKind::AllGatherV, &tag, fx.op)?;
-                let v = self.downcast_vec::<T>(msg, CollKind::AllGatherV, &tag, fx.op, seq)?;
+                let v = self.read_vec::<T>(&c, src)?;
                 received += v.len() as u64 * elem;
                 out.push(v);
             }
@@ -789,24 +778,13 @@ impl Comm {
         let tag = tag.into();
         assert!(root < self.size(), "root out of range");
         let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::Bcast, &tag)?;
-        let seq = self.next_seq();
+        let (c, fx) = self.begin(CollKind::Bcast, &tag)?;
         let elem = std::mem::size_of::<T>() as u64;
         if self.rank == root {
             let v = value.expect("root must supply the broadcast value");
-            let corrupt = matches!(fx.tamper, Some(FaultKind::Corrupt));
-            let mut bytes_to = Vec::with_capacity(self.size().saturating_sub(1));
-            for dst in 0..self.size() {
-                if dst == root {
-                    continue;
-                }
-                bytes_to.push((self.group.info.world_ranks[dst], elem));
-                if corrupt {
-                    self.send_to(dst, seq, CollKind::Bcast, None, Box::new(CorruptPayload));
-                } else {
-                    self.send_to(dst, seq, CollKind::Bcast, None, Box::new(v.clone()));
-                }
-            }
+            let posted = v.clone();
+            self.exchange(&c, self.size() - 1, |_| Some(boxed(posted, &fx.tamper)))?;
+            let bytes_to = self.peers().map(|w| (w, elem)).collect();
             self.record(
                 CollKind::Bcast,
                 tag,
@@ -820,8 +798,10 @@ impl Comm {
             Ok(v)
         } else {
             assert!(value.is_none(), "non-root must pass None");
-            let msg = self.try_recv_from(root, seq, CollKind::Bcast, &tag, fx.op)?;
-            let v = self.downcast_scalar::<T>(msg, CollKind::Bcast, &tag, fx.op, seq)?;
+            self.exchange(&c, 0, |_| None)?;
+            let v = self.read(&c, root, |payload, _, last| {
+                share_posted::<T>(payload, last)
+            })?;
             self.record(
                 CollKind::Bcast,
                 tag,
@@ -859,21 +839,21 @@ impl Comm {
         let tag = tag.into();
         assert!(root < self.size(), "root out of range");
         let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::Bcast, &tag)?;
-        let seq = self.next_seq();
+        let (c, fx) = self.begin(CollKind::Bcast, &tag)?;
         let elem = std::mem::size_of::<T>() as u64;
         if self.rank == root {
             let bytes = data.len() as u64 * elem;
-            let mut bytes_to = Vec::with_capacity(self.size().saturating_sub(1));
-            for dst in 0..self.size() {
-                if dst == root {
-                    continue;
-                }
-                if bytes > 0 {
-                    bytes_to.push((self.group.info.world_ranks[dst], bytes));
-                }
-                self.send_vec(dst, seq, CollKind::Bcast, data.clone(), &fx.tamper);
-            }
+            let mut posted = data.clone();
+            self.exchange(&c, self.size() - 1, |lens| {
+                lens.push(posted.len() as u64);
+                truncate(&mut posted, &fx.tamper);
+                Some(boxed(posted, &fx.tamper))
+            })?;
+            let bytes_to = if bytes > 0 {
+                self.peers().map(|w| (w, bytes)).collect()
+            } else {
+                Vec::new()
+            };
             self.record(
                 CollKind::Bcast,
                 tag,
@@ -886,8 +866,8 @@ impl Comm {
             );
             Ok(data)
         } else {
-            let msg = self.try_recv_from(root, seq, CollKind::Bcast, &tag, fx.op)?;
-            let v = self.downcast_vec::<T>(msg, CollKind::Bcast, &tag, fx.op, seq)?;
+            self.exchange(&c, 0, |_| None)?;
+            let v = self.read_vec::<T>(&c, root)?;
             let bytes = v.len() as u64 * elem;
             self.record(
                 CollKind::Bcast,
@@ -927,41 +907,24 @@ impl Comm {
     ) -> Result<T, CommError> {
         let tag = tag.into();
         let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::AllReduce, &tag)?;
-        let seq = self.next_seq();
+        let (c, fx) = self.begin(CollKind::AllReduce, &tag)?;
         let elem = std::mem::size_of::<T>() as u64;
-        let corrupt = matches!(fx.tamper, Some(FaultKind::Corrupt));
-        let mut bytes_to = Vec::with_capacity(self.size().saturating_sub(1));
-        for dst in 0..self.size() {
-            if dst == self.rank {
-                continue;
-            }
-            bytes_to.push((self.group.info.world_ranks[dst], elem));
-            if corrupt {
-                self.send_to(
-                    dst,
-                    seq,
-                    CollKind::AllReduce,
-                    None,
-                    Box::new(CorruptPayload),
-                );
-            } else {
-                self.send_to(dst, seq, CollKind::AllReduce, None, Box::new(value.clone()));
-            }
-        }
+        let posted = value.clone();
+        self.exchange(&c, self.size() - 1, |_| Some(boxed(posted, &fx.tamper)))?;
+        let mut own = Some(value);
         let mut acc: Option<T> = None;
         for src in 0..self.size() {
             let v = if src == self.rank {
-                value.clone()
+                own.take().expect("own value is folded once")
             } else {
-                let msg = self.try_recv_from(src, seq, CollKind::AllReduce, &tag, fx.op)?;
-                self.downcast_scalar::<T>(msg, CollKind::AllReduce, &tag, fx.op, seq)?
+                self.read(&c, src, |payload, _, last| share_posted::<T>(payload, last))?
             };
             acc = Some(match acc {
                 None => v,
                 Some(a) => op(a, v),
             });
         }
+        let bytes_to = self.peers().map(|w| (w, elem)).collect();
         self.record(
             CollKind::AllReduce,
             tag,
@@ -997,24 +960,25 @@ impl Comm {
         let tag = tag.into();
         assert!(root < self.size(), "root out of range");
         let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::GatherV, &tag)?;
-        let seq = self.next_seq();
+        let (c, fx) = self.begin(CollKind::GatherV, &tag)?;
         let elem = std::mem::size_of::<T>() as u64;
         if self.rank == root {
+            self.exchange(&c, 0, |_| None)?;
+            let mut own = Some(data);
             let mut out = Vec::with_capacity(self.size());
             let mut received = 0u64;
             for src in 0..self.size() {
                 if src == root {
-                    // Placeholder replaced below to keep index order.
-                    out.push(Vec::new());
-                } else {
-                    let msg = self.try_recv_from(src, seq, CollKind::GatherV, &tag, fx.op)?;
-                    let v = self.downcast_vec::<T>(msg, CollKind::GatherV, &tag, fx.op, seq)?;
-                    received += v.len() as u64 * elem;
-                    out.push(v);
+                    out.extend(own.take());
+                    continue;
                 }
+                let (v, declared) = self.read(&c, src, |payload, lens, _| {
+                    Some((take_posted::<Vec<T>>(payload)?, lens[0]))
+                })?;
+                let v = self.check_len(&c, src, v, declared)?;
+                received += v.len() as u64 * elem;
+                out.push(v);
             }
-            out[root] = data;
             self.record(
                 CollKind::GatherV,
                 tag,
@@ -1033,7 +997,12 @@ impl Comm {
             } else {
                 Vec::new()
             };
-            self.send_vec(root, seq, CollKind::GatherV, data, &fx.tamper);
+            self.exchange(&c, 1, |lens| {
+                lens.push(data.len() as u64);
+                let mut data = data;
+                truncate(&mut data, &fx.tamper);
+                Some(boxed(data, &fx.tamper))
+            })?;
             self.record(
                 CollKind::GatherV,
                 tag,
@@ -1053,28 +1022,13 @@ impl Comm {
         self.try_barrier(tag).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Comm::barrier`]. Under an active fault plan the barrier is
-    /// message-based (a zero-byte exchange through the mailboxes) so a dead
-    /// peer is detected; a `std` barrier would block forever.
+    /// Fallible [`Comm::barrier`]: a stamp-only post on the slab, so it
+    /// detects mismatches and dead peers like every other collective.
     pub fn try_barrier(&mut self, tag: impl Into<String>) -> Result<(), CommError> {
         let tag = tag.into();
         let entered = Instant::now();
-        let fx = self.fault_entry(CollKind::Barrier, &tag)?;
-        let seq = self.next_seq();
-        if self.fault.is_some() {
-            for dst in 0..self.size() {
-                if dst != self.rank {
-                    self.send_to(dst, seq, CollKind::Barrier, None, Box::new(()));
-                }
-            }
-            for src in 0..self.size() {
-                if src != self.rank {
-                    let _ = self.try_recv_from(src, seq, CollKind::Barrier, &tag, fx.op)?;
-                }
-            }
-        } else {
-            self.group.barrier.wait();
-        }
+        let (c, fx) = self.begin(CollKind::Barrier, &tag)?;
+        self.exchange(&c, 0, |_| None)?;
         self.record(
             CollKind::Barrier,
             tag,
@@ -1119,11 +1073,15 @@ impl Comm {
 
         let shared = {
             let mut splits = self.group.splits.lock();
-            Arc::clone(
-                splits
-                    .entry((gen, color))
-                    .or_insert_with(|| GroupShared::new(world_ranks)),
-            )
+            let sub = splits
+                .entry((gen, color))
+                .or_insert_with(|| GroupShared::new(world_ranks));
+            // Checked under the lock `GroupShared::poison` walks the splits
+            // with, so a group split off a poisoned parent is never missed.
+            if self.group.slab.is_poisoned() {
+                sub.poison();
+            }
+            Arc::clone(sub)
         };
         let mut sub = Comm::new(
             shared,

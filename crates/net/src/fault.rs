@@ -18,8 +18,8 @@
 //!   panic destroyed).
 //!
 //! Injection is pay-for-what-you-use: a plan with zero faults leaves every
-//! hot path byte-identical to a run without the injector (no extra channel
-//! traffic, no extra stats fields set, no polling receives).
+//! hot path byte-identical to a run without the injector (no extra stats
+//! fields set, no polling barrier waits).
 
 use crate::stats::CollKind;
 use parking_lot::Mutex;

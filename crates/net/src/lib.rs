@@ -7,8 +7,8 @@
 //! * [`world::World::run`] launches `p` ranks as OS threads;
 //! * [`comm::Comm`] provides lock-step collectives — `alltoallv`,
 //!   `allgatherv`, `bcast`, `allreduce`, `gatherv`, `barrier` and
-//!   `split` (sub-communicators for the SUMMA grids) — over typed in-memory
-//!   mailboxes;
+//!   `split` (sub-communicators for the SUMMA grids) — over one exchange
+//!   slab per group: per-rank slots plus a generation barrier;
 //! * every collective records exactly how many payload bytes moved between
 //!   which ranks ([`stats`]), so communication *volumes* are measured, not
 //!   modeled;
@@ -35,6 +35,7 @@ pub mod cost;
 pub mod fault;
 pub mod flight;
 pub mod metrics;
+mod slab;
 pub mod stats;
 pub mod telemetry;
 pub mod trace;

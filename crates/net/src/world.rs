@@ -9,7 +9,7 @@ use crate::metrics::MetricsRegistry;
 use crate::stats::RankProfile;
 use crate::trace::TraceConfig;
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Result of a distributed run: the per-rank return values plus the per-rank
 /// execution profiles (compute segments and communication records).
@@ -103,8 +103,10 @@ impl World {
     /// Runs `f` on `p` ranks (threads); blocks until all complete.
     ///
     /// Each rank receives a mutable [`Comm`] for the world group. Panics in
-    /// any rank propagate (the run aborts with that panic), matching the
-    /// fail-fast behaviour of an MPI job.
+    /// any rank propagate (the run aborts with the first rank's panic),
+    /// matching the fail-fast behaviour of an MPI job: the panicking rank
+    /// poisons every group, so peers parked in a collective unwind instead
+    /// of waiting for it.
     pub fn run<R, F>(p: usize, f: F) -> RunOutput<R>
     where
         R: Send,
@@ -151,7 +153,9 @@ impl World {
             .map(|t| t.begin_run(p).into_iter().map(Some).collect())
             .unwrap_or_default();
 
-        let results: Vec<R> = std::thread::scope(|scope| {
+        // The rank whose panic aborted the run, when one did.
+        let first_panic = OnceLock::new();
+        let mut outcomes: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..p)
                 .map(|rank| {
                     let group = Arc::clone(&group);
@@ -160,26 +164,48 @@ impl World {
                     let flight = Arc::clone(&flights[rank]);
                     let tel = rank_tels.get_mut(rank).and_then(Option::take);
                     let f = &f;
+                    let first_panic = &first_panic;
                     scope.spawn(move || {
-                        let mut comm =
-                            Comm::new(group, rank, Arc::clone(&profile), registry, flight, trace);
+                        let mut comm = Comm::new(
+                            Arc::clone(&group),
+                            rank,
+                            Arc::clone(&profile),
+                            registry,
+                            flight,
+                            trace,
+                        );
                         if let Some(t) = tel {
                             comm.set_telemetry(t);
                         }
-                        let out = f(&mut comm);
-                        profile.lock().finish();
+                        let out =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
+                        match &out {
+                            Ok(_) => profile.lock().finish(),
+                            Err(_) => {
+                                // Fail fast, like an MPI abort: peers parked
+                                // in any group unwind instead of waiting.
+                                let _ = first_panic.set(rank);
+                                group.poison();
+                            }
+                        }
                         out
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(e) => std::panic::resume_unwind(e),
-                })
+                .map(|h| h.join().unwrap_or_else(Err))
                 .collect()
         });
+        if let Some(&rank) = first_panic.get() {
+            if let Err(payload) = outcomes.swap_remove(rank) {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        let results: Vec<R> = outcomes
+            .into_iter()
+            .map(|o| o.unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect();
 
         if let Some(t) = telemetry {
             // Seal the run: the endpoint keeps serving this final state.
@@ -199,13 +225,12 @@ impl World {
     /// Fault-aware variant of [`World::run`]: runs `f` on `p` ranks under
     /// `plan` and reports per-rank outcomes instead of panicking.
     ///
-    /// With a non-empty plan every rank gets a fault context: receives poll a
-    /// shared [`FailureBoard`] (so a crashed peer surfaces as a typed
-    /// [`crate::CommError::PeerExited`] rather than a hang) and barriers
-    /// switch to a survivable message-based protocol. With an empty plan the
-    /// communication paths are *exactly* those of [`World::run`] — no
-    /// polling, no extra state — so results and profiles are identical to an
-    /// uninstrumented run.
+    /// With a non-empty plan every rank gets a fault context: collective
+    /// waits poll a shared [`FailureBoard`], so a crashed peer surfaces as a
+    /// typed [`crate::CommError::PeerExited`] rather than a hang. With an
+    /// empty plan the communication paths are *exactly* those of
+    /// [`World::run`] — no polling, no extra state — so results and profiles
+    /// are identical to an uninstrumented run.
     ///
     /// A rank that panics (including injected crashes) is caught per-rank;
     /// its failure, and the parked positions of every rank that was waiting
@@ -402,6 +427,19 @@ mod tests {
             if comm.rank() == 2 {
                 panic!("rank 2 says no");
             }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 2 says no")]
+    fn rank_panic_during_collective_propagates() {
+        // Ranks 0, 1 and 3 wait in an allreduce that rank 2 never joins:
+        // its panic must wake them and abort the run with rank 2's message.
+        let _ = World::run(4, |comm| {
+            if comm.rank() == 2 {
+                panic!("rank 2 says no");
+            }
+            comm.allreduce(1u64, |a, b| a + b, "never")
         });
     }
 

@@ -3,13 +3,15 @@
 //! accounting must balance, regardless of ordering, sizes, or group shape.
 
 use proptest::prelude::*;
-use tsgemm_net::{CostModel, World};
+use tsgemm_net::{Comm, CommError, CostModel, FaultPlan, World};
 
 #[derive(Clone, Debug)]
 enum Op {
     AllToAll { base: usize },
     AllGather { len: usize },
-    Bcast { root_mod: usize, len: usize },
+    Bcast { root_mod: usize },
+    BcastVec { root_mod: usize, len: usize },
+    GatherV { root_mod: usize, len: usize },
     AllReduce { val: u64 },
     Barrier,
 }
@@ -18,10 +20,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0usize..16).prop_map(|base| Op::AllToAll { base }),
         (0usize..32).prop_map(|len| Op::AllGather { len }),
-        (0usize..8, 0usize..32).prop_map(|(root_mod, len)| Op::Bcast { root_mod, len }),
+        (0usize..8).prop_map(|root_mod| Op::Bcast { root_mod }),
+        (0usize..8, 0usize..32).prop_map(|(root_mod, len)| Op::BcastVec { root_mod, len }),
+        (0usize..8, 0usize..32).prop_map(|(root_mod, len)| Op::GatherV { root_mod, len }),
         (0u64..1000).prop_map(|val| Op::AllReduce { val }),
         Just(Op::Barrier),
     ]
+}
+
+/// The value `src` sends towards `dst` at `step`. Folding the step in means
+/// a read from the other slab bank, or from a bank reused too early,
+/// yields a wrong value instead of an identical one.
+fn val(step: usize, src: usize, dst: usize) -> u64 {
+    ((step as u64) << 32) | (src * 1000 + dst) as u64
 }
 
 proptest! {
@@ -34,51 +45,67 @@ proptest! {
     ) {
         let ops2 = ops.clone();
         let out = World::run(p, move |comm| {
+            let me = comm.rank();
             let mut checksum = 0u64;
             for (step, op) in ops2.iter().enumerate() {
+                let tag = format!("fz{step}");
                 match op {
                     Op::AllToAll { base } => {
-                        // sends[dst] = [me*1000 + dst; base + me]
                         let sends: Vec<Vec<u64>> = (0..p)
-                            .map(|dst| vec![(comm.rank() * 1000 + dst) as u64; base + comm.rank()])
+                            .map(|dst| vec![val(step, me, dst); base + me])
                             .collect();
-                        let recv = comm.alltoallv(sends, format!("fz{step}"));
+                        let recv = comm.alltoallv(sends, tag);
                         for (src, data) in recv.iter().enumerate() {
                             assert_eq!(data.len(), base + src, "a2a length from {src}");
                             for &v in data {
-                                assert_eq!(v, (src * 1000 + comm.rank()) as u64);
+                                assert_eq!(v, val(step, src, me));
                                 checksum = checksum.wrapping_add(v);
                             }
                         }
                     }
                     Op::AllGather { len } => {
-                        let data = vec![comm.rank() as u64; *len];
-                        let all = comm.allgatherv(data, format!("fz{step}"));
+                        let data = vec![val(step, me, 0); len + me % 3];
+                        let all = comm.allgatherv(data, tag);
                         for (src, v) in all.iter().enumerate() {
-                            assert_eq!(v.len(), *len);
-                            assert!(v.iter().all(|&x| x == src as u64));
+                            assert_eq!(v.len(), len + src % 3);
+                            assert!(v.iter().all(|&x| x == val(step, src, 0)));
                         }
                         checksum = checksum.wrapping_add(*len as u64);
                     }
-                    Op::Bcast { root_mod, len } => {
+                    Op::Bcast { root_mod } => {
                         let root = root_mod % p;
-                        let payload = if comm.rank() == root {
-                            vec![(root * 7) as u64; *len]
+                        let value = (me == root).then(|| val(step, root, 9));
+                        assert_eq!(comm.bcast(root, value, tag), val(step, root, 9));
+                    }
+                    Op::BcastVec { root_mod, len } => {
+                        let root = root_mod % p;
+                        let payload = if me == root {
+                            vec![val(step, root, 7); *len]
                         } else {
                             Vec::new()
                         };
-                        let got = comm.bcast_vec(root, payload, format!("fz{step}"));
+                        let got = comm.bcast_vec(root, payload, tag);
                         assert_eq!(got.len(), *len);
-                        assert!(got.iter().all(|&x| x == (root * 7) as u64));
+                        assert!(got.iter().all(|&x| x == val(step, root, 7)));
                     }
-                    Op::AllReduce { val } => {
-                        let sum = comm.allreduce(*val + comm.rank() as u64, |a, b| a + b,
-                            format!("fz{step}"));
-                        let expect = p as u64 * *val + (p * (p - 1) / 2) as u64;
+                    Op::GatherV { root_mod, len } => {
+                        let root = root_mod % p;
+                        let data = vec![val(step, me, root); len + me];
+                        let got = comm.gatherv(data, root, tag);
+                        assert_eq!(got.is_some(), me == root);
+                        for (src, v) in got.iter().flatten().enumerate() {
+                            assert_eq!(v.len(), len + src, "gatherv length from {src}");
+                            assert!(v.iter().all(|&x| x == val(step, src, root)));
+                        }
+                    }
+                    Op::AllReduce { val: v } => {
+                        let base = v + step as u64;
+                        let sum = comm.allreduce(base + me as u64, |a, b| a + b, tag);
+                        let expect = p as u64 * base + (p * (p - 1) / 2) as u64;
                         assert_eq!(sum, expect);
                         checksum = checksum.wrapping_add(sum);
                     }
-                    Op::Barrier => comm.barrier(format!("fz{step}")),
+                    Op::Barrier => comm.barrier(tag),
                 }
             }
             checksum
@@ -126,16 +153,82 @@ proptest! {
     }
 }
 
+/// The collectives a mismatch test pits against each other.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    AllToAll,
+    Bcast,
+    AllReduce,
+    Barrier,
+    GatherV,
+    AllGather,
+}
+
+/// Rank 0 runs the first collective of a pair, rank 1 the second, both as
+/// their first collective, so only the kind differs.
+const MISMATCHED: [(Kind, Kind); 3] = [
+    (Kind::AllToAll, Kind::Bcast),
+    (Kind::AllReduce, Kind::Barrier),
+    (Kind::GatherV, Kind::AllGather),
+];
+
+fn run_kind(comm: &mut Comm, kind: Kind) -> Result<(), CommError> {
+    let p = comm.size();
+    match kind {
+        Kind::AllToAll => comm.try_alltoallv(vec![vec![1u64]; p], "mm").map(drop),
+        Kind::Bcast => comm
+            .try_bcast(0, (comm.rank() == 0).then_some(1u64), "mm")
+            .map(drop),
+        Kind::AllReduce => comm.try_allreduce(1u64, |a, b| a + b, "mm").map(drop),
+        Kind::Barrier => comm.try_barrier("mm"),
+        Kind::GatherV => comm.try_gatherv(vec![1u64], 0, "mm").map(drop),
+        Kind::AllGather => comm.try_allgatherv(vec![1u64], "mm").map(drop),
+    }
+}
+
 #[test]
-#[should_panic(expected = "collective mismatch")]
 fn mismatched_collectives_fail_loudly_not_silently() {
-    // Rank 0 does a bcast while rank 1 does an alltoallv: the runtime must
-    // detect the protocol violation instead of deadlocking or mixing data.
-    let _ = World::run(2, |comm| {
-        if comm.rank() == 0 {
-            let _ = comm.bcast(0, Some(1u64), "x");
-        } else {
-            let _ = comm.alltoallv(vec![vec![1u64], vec![]], "y");
+    // The runtime must detect each protocol violation, in either role,
+    // instead of deadlocking or mixing data.
+    for (a, b) in MISMATCHED {
+        for (k0, k1) in [(a, b), (b, a)] {
+            let caught = std::panic::catch_unwind(|| {
+                World::run(2, move |comm| {
+                    let kind = if comm.rank() == 0 { k0 } else { k1 };
+                    run_kind(comm, kind).unwrap_or_else(|e| panic!("{e}"));
+                })
+            });
+            let payload = caught.err().expect("a mismatch must abort the run");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(msg.contains("collective mismatch"), "{k0:?}/{k1:?}: {msg}");
         }
-    });
+    }
+}
+
+#[test]
+fn mismatch_under_a_fault_plan_is_a_typed_error() {
+    // A delay on a tag nothing uses: every rank runs with a fault context
+    // (polling barrier waits), but no fault fires.
+    let plan = FaultPlan::none().delay_at_tag(0, "unrelated", 1, 1e-3);
+    for (a, b) in MISMATCHED {
+        let out = World::try_run(2, &plan, move |comm| {
+            run_kind(comm, if comm.rank() == 0 { a } else { b })
+        });
+        for (rank, res) in out.results.iter().enumerate() {
+            let res = res.as_ref().expect("the mismatch is returned, not raised");
+            match res {
+                Err(CommError::CollectiveMismatch {
+                    expected_kind,
+                    got_kind,
+                    expected_seq: 0,
+                    got_seq: 0,
+                    ..
+                }) => assert_ne!(expected_kind, got_kind),
+                other => panic!("{a:?}/{b:?} rank {rank}: expected a mismatch, got {other:?}"),
+            }
+        }
+    }
 }

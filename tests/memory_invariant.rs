@@ -23,12 +23,14 @@
 //!    are process-global) must stay under
 //!    `96·nnz(C) + p · 8 · max_window_nnz(B, w) · sizeof(Trip) + slack`:
 //!    output assembly at a generous bytes/nnz constant, p ranks' transient
-//!    slices with pack/mailbox/index copies, and a fixed few MiB for
+//!    slices with pack/exchange/index copies, and a fixed few MiB for
 //!    accumulators, hash maps and runtime noise.
 //!
 //! Plus the flight-recorder no-allocation guarantee: recording into a
 //! pre-sized ring performs zero heap allocations per event, verified by
-//! the allocation *counter* (not wall-clock or capacity proxies).
+//! the allocation *counter* (not wall-clock or capacity proxies). And the
+//! exchange's: an all-empty `alltoallv` allocates the same per rank at
+//! p = 4 as at p = 32.
 
 use std::sync::Mutex;
 use tsgemm::core::trace::{alloc, CountingAlloc, MemScope};
@@ -150,6 +152,60 @@ fn spa_peak_bounded_by_resident_slice() {
 #[test]
 fn hash_peak_bounded_by_resident_slice() {
     resident_slice_case(AccumChoice::Hash);
+}
+
+/// Heap allocations per rank per call over `calls` all-empty `alltoallv`s
+/// at `p` ranks, counted process-wide between two fencing barriers.
+fn empty_alltoallv_allocs_per_rank_call(p: usize, calls: usize) -> f64 {
+    let out = World::run(p, |comm| {
+        // Warm up: slot length vectors and profile logs reach their
+        // steady capacity before the window opens.
+        for _ in 0..4 {
+            comm.alltoallv::<u64>(vec![Vec::new(); p], "mem:warm");
+        }
+        comm.barrier("mem:setup");
+        let scope = (comm.rank() == 0).then(|| {
+            alloc::set_enabled(true);
+            MemScope::begin()
+        });
+        comm.barrier("mem:start");
+        for _ in 0..calls {
+            let recv = comm.alltoallv::<u64>(vec![Vec::new(); p], "mem:empty");
+            assert!(recv.iter().all(Vec::is_empty));
+        }
+        comm.barrier("mem:end");
+        scope.map(|s| {
+            let u = s.finish();
+            alloc::set_enabled(false);
+            u.allocs
+        })
+    });
+    let allocs = out.results[0].expect("rank 0 measured the window");
+    allocs as f64 / (p * calls) as f64
+}
+
+/// An empty send costs nothing but its slot: the heap allocations a rank
+/// makes per `alltoallv` do not grow with the group size. (A transport
+/// that boxes one message per peer allocates about `p` times per call.)
+/// The window also counts each call's `vec![Vec::new(); p]`, which is one
+/// allocation at any `p`.
+#[test]
+fn empty_alltoallv_allocations_do_not_grow_with_p() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    alloc::set_enabled(false);
+    alloc::reset();
+
+    let calls = 50;
+    let small = empty_alltoallv_allocs_per_rank_call(4, calls);
+    let large = empty_alltoallv_allocs_per_rank_call(32, calls);
+    assert!(small > 0.0, "counting allocator saw no allocations");
+    // The fencing barriers add a few allocations per rank to the window,
+    // which is well under half an allocation per call over 50 calls.
+    assert!(
+        (large - small).abs() < 0.5,
+        "allocations per rank per empty alltoallv grow with p: \
+         {small:.2} at p=4, {large:.2} at p=32"
+    );
 }
 
 /// The ring pre-reserves its backing store, tags are inline fixed-size
