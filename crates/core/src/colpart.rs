@@ -61,11 +61,11 @@ impl<T: Copy + Send + 'static> ColBlocks<T> {
             .flatten()
             .map(|t| (t.row, t.col - clo, t.val))
             .collect();
-        let coo = Coo::from_entries(dist.n(), width, entries);
+        let csr = Coo::from_entries(dist.n(), width, entries).into_csr::<S>();
         ColBlocks {
             dist,
             rank: comm.rank(),
-            local: Csc::from_coo::<S>(&coo),
+            local: Csc::from_csr(&csr),
         }
     }
 }

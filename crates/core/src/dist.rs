@@ -40,7 +40,7 @@ impl<T: Copy + Send + 'static> DistCsr<T> {
             .filter(|&&(r, _, _)| r >= lo && r < hi)
             .map(|&(r, c, v)| (r - lo, c, v))
             .collect();
-        let local = Coo::from_entries((hi - lo) as usize, ncols, entries).to_csr::<S>();
+        let local = Coo::from_entries((hi - lo) as usize, ncols, entries).into_csr::<S>();
         Self { dist, rank, local }
     }
 
@@ -54,7 +54,7 @@ impl<T: Copy + Send + 'static> DistCsr<T> {
         ncols: usize,
         trips: Vec<(Idx, Idx, T)>,
     ) -> Self {
-        let local = Coo::from_entries(dist.local_len(rank), ncols, trips).to_csr::<S>();
+        let local = Coo::from_entries(dist.local_len(rank), ncols, trips).into_csr::<S>();
         Self { dist, rank, local }
     }
 
@@ -96,7 +96,7 @@ impl<T: Copy + Send + 'static> DistCsr<T> {
         }
         let all = comm.allgatherv(trips, "gather:verify");
         let entries: Vec<(Idx, Idx, T)> = all.into_iter().flatten().collect();
-        Coo::from_entries(self.dist.n(), self.ncols(), entries).to_csr::<S>()
+        Coo::from_entries(self.dist.n(), self.ncols(), entries).into_csr::<S>()
     }
 
     /// Total nonzeros across all ranks.

@@ -21,14 +21,13 @@ use crate::dist::DistCsr;
 use crate::mode::{decide_modes, ModePolicy, TileMode};
 use crate::part::BlockDist;
 use crate::tiling::{subtile_csr, TileBuckets, Tiling};
-use std::collections::HashMap;
 use std::time::Instant;
 use tsgemm_net::{alloc, Comm, CommError, FlightEventKind, Metrics, MetricsRegistry};
 use tsgemm_pool::{nnz_chunks_range, ThreadPool};
 use tsgemm_sparse::accum::{Accumulator, HashAccum, Spa};
 use tsgemm_sparse::semiring::Semiring;
 use tsgemm_sparse::spgemm::{spgemm, spgemm_flops, AccumChoice};
-use tsgemm_sparse::{Coo, Csr, Idx};
+use tsgemm_sparse::{Csr, Idx};
 
 /// Configuration of one TS-SpGEMM invocation.
 #[derive(Clone, Debug)]
@@ -201,6 +200,12 @@ pub fn ts_spgemm<S: Semiring>(
 /// Fallible [`ts_spgemm`]: tile-step collectives that fail with a transient
 /// injected error are retried up to [`MAX_COLLECTIVE_ATTEMPTS`] times
 /// (`stats.retries` counts them); non-transient errors are returned.
+///
+/// `C_i` is assembled directly in CSR, row band by row band. Each output
+/// row is ⊕-merged (Alg. 2's MERGE) through one accumulator in a fixed
+/// order: the owner's own contributions in `A`-column order, then the
+/// remote partials in source-rank order, then the column bands in `cb`
+/// order.
 pub fn try_ts_spgemm<S: Semiring>(
     comm: &mut Comm,
     a: &DistCsr<S::T>,
@@ -227,7 +232,9 @@ pub fn try_ts_spgemm<S: Semiring>(
     let (my_lo, _) = dist.range(me);
 
     let tiling = cfg.tiling(dist);
+    let buckets_span = comm.span(|| format!("{}:buckets", cfg.tag));
     let buckets = TileBuckets::build(ac, &tiling);
+    buckets_span.end();
     let modes = decide_modes::<S>(comm, &tiling, &buckets, b, cfg.policy, &cfg.tag);
 
     let mut stats = TsLocalStats {
@@ -238,13 +245,18 @@ pub fn try_ts_spgemm<S: Semiring>(
         ..TsLocalStats::default()
     };
 
-    // Output accumulated as triplets in local row coordinates; duplicates
-    // (one per contributing tile) are ⊕-merged in the final COO→CSR build,
-    // which is exactly the MERGE of Alg. 2.
-    let mut out_trips: Vec<(Idx, Idx, S::T)> = Vec::new();
     let use_spa = matches!(cfg.accum.resolve(d), AccumChoice::Spa);
-    let mut spa: Spa<S> = Spa::new(if use_spa { d } else { 1 });
-    let mut hash: HashAccum<S> = HashAccum::with_capacity(64);
+    let mut acc = RowAccum::<S>::new(use_spa, d);
+    // The output, one row band at a time. With a single column band a
+    // step's rows are final and go straight here; otherwise each step
+    // fills one entry of `band_parts` and the band is merged after its
+    // last step.
+    let mut c_out = RowBlock::new();
+    let mut band_parts: Vec<RowBlock<S::T>> = Vec::new();
+    // Received B rows indexed over the column band, remote partials over
+    // the row band; both reused across steps.
+    let mut brows = RowIndex::new();
+    let mut cparts = RowIndex::new();
 
     let trip_bytes = std::mem::size_of::<Trip<S::T>>() as u64;
     let mut flops = 0u64;
@@ -252,6 +264,9 @@ pub fn try_ts_spgemm<S: Semiring>(
     let pool = ThreadPool::global();
 
     for rb in 0..tiling.n_row_bands {
+        let (band_lo, band_hi) = tiling.band_range(me, rb);
+        let lo_l = (band_lo - my_lo) as usize;
+        let hi_l = (band_hi - my_lo) as usize;
         for cb in 0..tiling.n_col_bands {
             comm.flight_record(
                 &cfg.tag,
@@ -339,84 +354,57 @@ pub fn try_ts_spgemm<S: Semiring>(
             // Tiling bounds the multiply's working set to this step's slice.
             comm.note_working_set(transient);
 
-            // ---- tile-owner role: local multiply -------------------------
+            // ---- tile-owner role: multiply and merge partials per row ----
             let kernel_span = comm.span(|| format!("{}:kernel", cfg.tag));
-            // Index received B rows: global row id -> slice of entries.
-            let mut brow_entries: Vec<(Idx, S::T)> = Vec::new();
-            let mut brow_index: HashMap<Idx, (u32, u32)> = HashMap::new();
-            for msg in &brecv {
-                let mut run_start = brow_entries.len();
-                let mut run_row: Option<Idx> = None;
-                for t in msg {
-                    if run_row != Some(t.row) {
-                        if let Some(rr) = run_row {
-                            brow_index.insert(rr, (run_start as u32, brow_entries.len() as u32));
-                        }
-                        run_row = Some(t.row);
-                        run_start = brow_entries.len();
-                    }
-                    brow_entries.push((t.col, t.val));
-                }
-                if let Some(rr) = run_row {
-                    brow_index.insert(rr, (run_start as u32, brow_entries.len() as u32));
-                }
-            }
-
-            let (band_lo, band_hi) = tiling.band_range(me, rb);
             let (cb_lo, cb_hi) = tiling.col_band_range(cb);
+            brows.fill(&brecv, cb_lo, (cb_hi - cb_lo) as usize, S::zero());
+            cparts.fill(&crecv, band_lo, hi_l - lo_l, S::zero());
+            // The indexes hold their own copies; free the received buffers
+            // before the output grows.
+            drop((brecv, crecv));
             let ctx = OwnerCtx::<S> {
                 my_lo,
+                band_lo: lo_l,
                 cb_lo,
                 cb_hi,
-                rb: rb as u32,
-                cb: cb as u32,
                 me,
                 dist,
                 a_local: &a.local,
                 b_local: &b.local,
-                own: &modes.own,
-                brow_index: &brow_index,
-                brow_entries: &brow_entries,
-                use_spa,
+                own: modes.own(rb, cb),
+                brows: &brows,
+                cparts: &cparts,
             };
-            let lo_l = (band_lo - my_lo) as usize;
-            let hi_l = (band_hi - my_lo) as usize;
+            let step_out = if tiling.n_col_bands == 1 {
+                &mut c_out
+            } else {
+                band_parts.push(RowBlock::new());
+                band_parts.last_mut().expect("just pushed")
+            };
             if pool.nthreads() == 1 {
-                flops += owner_rows(&ctx, lo_l..hi_l, &mut spa, &mut hash, &mut out_trips);
+                flops += owner_rows(&ctx, lo_l..hi_l, &mut acc, step_out);
             } else {
                 // nnz-balanced chunks over this band of A's local rows; one
                 // private accumulator per chunk (the paper's per-thread SPA),
-                // per-chunk triplets concatenated in row order so the output
-                // sequence is byte-identical to the sequential pass.
+                // per-chunk row blocks appended in row order so the output
+                // is byte-identical to the sequential pass.
                 let chunks = nnz_chunks_range(a.local.indptr(), lo_l, hi_l, pool.nthreads());
                 let parts = pool.run(chunks.len(), |k| {
                     let t0 = trace.then(Instant::now);
-                    let mut c_spa: Spa<S> = Spa::new(if use_spa { d } else { 1 });
-                    let mut c_hash: HashAccum<S> = HashAccum::with_capacity(64);
-                    let mut trips = Vec::new();
-                    let f =
-                        owner_rows(&ctx, chunks[k].clone(), &mut c_spa, &mut c_hash, &mut trips);
-                    (trips, f, t0.map(|t| (t, Instant::now())))
+                    let mut c_acc = RowAccum::<S>::new(use_spa, d);
+                    let mut rows = RowBlock::new();
+                    let f = owner_rows(&ctx, chunks[k].clone(), &mut c_acc, &mut rows);
+                    (rows, f, t0.map(|t| (t, Instant::now())))
                 });
-                for (k, (trips, f, span)) in parts.into_iter().enumerate() {
-                    out_trips.extend(trips);
+                for (k, (rows, f, span)) in parts.into_iter().enumerate() {
+                    step_out.append(&rows);
                     flops += f;
                     if let Some((s0, e0)) = span {
                         comm.record_span_between(format!("{}:kernel:t{k}", cfg.tag), s0, e0);
                     }
                 }
             }
-
             kernel_span.end();
-
-            // ---- fold in remotely computed partials ----------------------
-            let merge_span = comm.span(|| format!("{}:merge", cfg.tag));
-            for msg in crecv {
-                for t in msg {
-                    out_trips.push((t.row - my_lo, t.col, t.val));
-                }
-            }
-            merge_span.end();
             comm.flight_record(
                 &cfg.tag,
                 FlightEventKind::StepEnd {
@@ -424,6 +412,22 @@ pub fn try_ts_spgemm<S: Semiring>(
                     cb: cb as u32,
                 },
             );
+        }
+
+        // ---- MERGE: ⊕ the band's column-band partials row by row ---------
+        if tiling.n_col_bands > 1 {
+            let merge_span = comm.span(|| format!("{}:merge", cfg.tag));
+            for r in 0..hi_l - lo_l {
+                for part in &band_parts {
+                    let (cols, vals) = part.row(r);
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        acc.accumulate(c, v);
+                    }
+                }
+                acc.drain_row(&mut c_out);
+            }
+            band_parts.clear();
+            merge_span.end();
         }
     }
 
@@ -442,126 +446,223 @@ pub fn try_ts_spgemm<S: Semiring>(
         }
     }
 
-    let c = Coo::from_entries(a.local_rows(), d, out_trips).to_csr::<S>();
+    let c = c_out.into_csr(d);
     run_span.end();
     Ok((c, stats))
 }
 
+/// Rows of a CSR matrix under construction: `indptr` starts at `[0]` and
+/// gains one entry per finished row.
+struct RowBlock<T> {
+    indptr: Vec<usize>,
+    indices: Vec<Idx>,
+    values: Vec<T>,
+}
+
+impl<T: Copy> RowBlock<T> {
+    fn new() -> Self {
+        Self {
+            indptr: vec![0],
+            indices: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    fn row(&self, r: usize) -> (&[Idx], &[T]) {
+        let (lo, hi) = (self.indptr[r], self.indptr[r + 1]);
+        (&self.indices[lo..hi], &self.values[lo..hi])
+    }
+
+    /// Appends `other`'s rows after this block's (its `indptr` rebased).
+    fn append(&mut self, other: &RowBlock<T>) {
+        let base = self.indices.len();
+        self.indices.extend_from_slice(&other.indices);
+        self.values.extend_from_slice(&other.values);
+        self.indptr
+            .extend(other.indptr[1..].iter().map(|&q| q + base));
+    }
+
+    fn into_csr(self, ncols: usize) -> Csr<T> {
+        let nrows = self.indptr.len() - 1;
+        Csr::from_parts(nrows, ncols, self.indptr, self.indices, self.values)
+    }
+}
+
+/// The row accumulator of one invocation (picked once from the config).
+enum RowAccum<S: Semiring> {
+    Spa(Spa<S>),
+    Hash(HashAccum<S>),
+}
+
+impl<S: Semiring> RowAccum<S> {
+    fn new(use_spa: bool, width: usize) -> Self {
+        if use_spa {
+            Self::Spa(Spa::new(width))
+        } else {
+            Self::Hash(HashAccum::with_capacity(64))
+        }
+    }
+
+    #[inline]
+    fn accumulate(&mut self, col: Idx, val: S::T) {
+        match self {
+            Self::Spa(a) => a.accumulate(col, val),
+            Self::Hash(a) => a.accumulate(col, val),
+        }
+    }
+
+    /// Drains the accumulated row (sorted, semiring zeros dropped) as the
+    /// next row of `out`.
+    fn drain_row(&mut self, out: &mut RowBlock<S::T>) {
+        let acc: &mut dyn Accumulator<S> = match self {
+            Self::Spa(a) => a,
+            Self::Hash(a) => a,
+        };
+        if acc.touched() > 0 {
+            acc.drain_sorted(&mut out.indices, &mut out.values);
+        }
+        out.indptr.push(out.indices.len());
+    }
+}
+
+/// Received entries grouped by row over a contiguous row range `lo..`: a
+/// `(start, end)` span per row into one `(col, val)` buffer. A stable
+/// counting pass builds it, so a row's entries keep message (source-rank)
+/// order. Reused across steps: a refill clears only the rows the previous
+/// step set, so it costs O(entries received), not O(rows in the range).
+struct RowIndex<T> {
+    span: Vec<(usize, usize)>,
+    /// Rows with entries, in the order they were first seen.
+    rows: Vec<usize>,
+    entries: Vec<(Idx, T)>,
+}
+
+impl<T: Copy> RowIndex<T> {
+    fn new() -> Self {
+        Self {
+            span: Vec::new(),
+            rows: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Re-indexes the rows `lo..lo + nrows` from `msgs` (`pad` only fills
+    /// the entry buffer before the scatter overwrites it).
+    fn fill(&mut self, msgs: &[Vec<Trip<T>>], lo: Idx, nrows: usize, pad: T) {
+        for &r in &self.rows {
+            self.span[r] = (0, 0);
+        }
+        self.rows.clear();
+        if self.span.len() < nrows {
+            self.span.resize(nrows, (0, 0));
+        }
+        // Count each row's entries in `end`.
+        for t in msgs.iter().flatten() {
+            let r = (t.row - lo) as usize;
+            if self.span[r].1 == 0 {
+                self.rows.push(r);
+            }
+            self.span[r].1 += 1;
+        }
+        // Lay the rows out in first-seen order; `end` becomes the cursor.
+        let mut next = 0;
+        for &r in &self.rows {
+            let count = self.span[r].1;
+            self.span[r] = (next, next);
+            next += count;
+        }
+        self.entries.clear();
+        self.entries.resize(next, (0, pad));
+        for t in msgs.iter().flatten() {
+            let span = &mut self.span[(t.row - lo) as usize];
+            self.entries[span.1] = (t.col, t.val);
+            span.1 += 1;
+        }
+    }
+
+    fn row(&self, r: usize) -> &[(Idx, T)] {
+        let (start, end) = self.span[r];
+        &self.entries[start..end]
+    }
+}
+
 /// Shared-read context for the tile-owner multiply over one `(rb, cb)`
-/// band: everything a worker needs to process a chunk of local rows.
+/// step: everything a worker needs to process a chunk of local rows.
 struct OwnerCtx<'a, S: Semiring> {
     my_lo: Idx,
+    /// First local row of the band (row 0 of `cparts`).
+    band_lo: usize,
     cb_lo: Idx,
     cb_hi: Idx,
-    rb: u32,
-    cb: u32,
     me: usize,
     dist: BlockDist,
     a_local: &'a Csr<S::T>,
     b_local: &'a Csr<S::T>,
-    own: &'a HashMap<(u32, u32, usize), TileMode>,
-    brow_index: &'a HashMap<Idx, (u32, u32)>,
-    brow_entries: &'a [(Idx, S::T)],
-    use_spa: bool,
+    /// Sub-tile modes of this step, indexed by serving rank.
+    own: &'a [Option<TileMode>],
+    /// Received B rows over the column band.
+    brows: &'a RowIndex<S::T>,
+    /// Received partial C rows over the row band.
+    cparts: &'a RowIndex<S::T>,
 }
 
 /// The tile-owner multiply for a contiguous range of *local* rows: Gustavson
-/// over the tile's column slice, draining each touched row into `out` as
-/// local-row triplets. Per-row output depends only on that row's
+/// over the tile's column slice plus the row's remote partials, each row
+/// drained once into `out`. A row's output depends only on that row's
 /// accumulate/drain sequence, so any partition of the band into ranges,
-/// concatenated in order, reproduces the full-band pass exactly.
+/// appended in order, reproduces the full-band pass exactly.
 fn owner_rows<S: Semiring>(
     ctx: &OwnerCtx<'_, S>,
     rows: std::ops::Range<usize>,
-    spa: &mut Spa<S>,
-    hash: &mut HashAccum<S>,
-    out: &mut Vec<(Idx, Idx, S::T)>,
+    acc: &mut RowAccum<S>,
+    out: &mut RowBlock<S::T>,
 ) -> u64 {
     let mut flops = 0u64;
     for r_local in rows {
         let (cols, vals) = ctx.a_local.row(r_local);
         let start = cols.partition_point(|&c| c < ctx.cb_lo);
         let end = cols.partition_point(|&c| c < ctx.cb_hi);
-        let mut touched = false;
+        // Serving rank of the current column and the end of its range;
+        // columns are sorted, so the owner only changes at range ends.
+        let (mut j, mut j_hi) = (0usize, 0 as Idx);
         for idx in start..end {
             let c = cols[idx];
             let va = vals[idx];
-            let j = ctx.dist.owner(c);
+            if c >= j_hi {
+                j = ctx.dist.owner(c);
+                j_hi = ctx.dist.range(j).1;
+            }
             if j == ctx.me {
                 // Diagonal: B row is local.
                 let (bc, bv) = ctx.b_local.row((c - ctx.my_lo) as usize);
                 for (&bcol, &bval) in bc.iter().zip(bv) {
-                    accumulate(ctx.use_spa, spa, hash, bcol, S::mul(va, bval));
-                    flops += 1;
-                    touched = true;
+                    acc.accumulate(bcol, S::mul(va, bval));
                 }
-            } else {
-                match ctx.own.get(&(ctx.rb, ctx.cb, j)) {
-                    Some(TileMode::Local) => {
-                        if let Some(&(lo_e, hi_e)) = ctx.brow_index.get(&c) {
-                            for &(bcol, bval) in &ctx.brow_entries[lo_e as usize..hi_e as usize] {
-                                accumulate(ctx.use_spa, spa, hash, bcol, S::mul(va, bval));
-                                flops += 1;
-                                touched = true;
-                            }
-                        }
+                flops += bc.len() as u64;
+                continue;
+            }
+            match ctx.own[j] {
+                Some(TileMode::Local) => {
+                    let brow = ctx.brows.row((c - ctx.cb_lo) as usize);
+                    for &(bcol, bval) in brow {
+                        acc.accumulate(bcol, S::mul(va, bval));
                     }
-                    Some(TileMode::Remote) => { /* partial arrives below */ }
-                    None => {
-                        // The serving rank saw no entries for this sub-tile,
-                        // yet we hold one: A and A^c have diverged — a bug.
-                        unreachable!("sub-tile ({},{}) served by {j} has no mode", ctx.rb, ctx.cb);
-                    }
+                    flops += brow.len() as u64;
+                }
+                Some(TileMode::Remote) => { /* partial arrives below */ }
+                None => {
+                    // The serving rank saw no entries for this sub-tile,
+                    // yet we hold one: A and A^c have diverged — a bug.
+                    unreachable!("sub-tile of column {c} served by {j} has no mode");
                 }
             }
         }
-        if touched {
-            drain(ctx.use_spa, spa, hash, r_local as Idx, out);
-        } else {
-            reset(ctx.use_spa, spa, hash);
+        for &(col, val) in ctx.cparts.row(r_local - ctx.band_lo) {
+            acc.accumulate(col, val);
         }
+        acc.drain_row(out);
     }
     flops
-}
-
-#[inline]
-fn accumulate<S: Semiring>(
-    use_spa: bool,
-    spa: &mut Spa<S>,
-    hash: &mut HashAccum<S>,
-    col: Idx,
-    val: S::T,
-) {
-    if use_spa {
-        spa.accumulate(col, val);
-    } else {
-        hash.accumulate(col, val);
-    }
-}
-
-fn drain<S: Semiring>(
-    use_spa: bool,
-    spa: &mut Spa<S>,
-    hash: &mut HashAccum<S>,
-    local_row: Idx,
-    out: &mut Vec<(Idx, Idx, S::T)>,
-) {
-    let mut idx = Vec::new();
-    let mut val = Vec::new();
-    if use_spa {
-        spa.drain_sorted(&mut idx, &mut val);
-    } else {
-        hash.drain_sorted(&mut idx, &mut val);
-    }
-    out.extend(idx.into_iter().zip(val).map(|(c, v)| (local_row, c, v)));
-}
-
-fn reset<S: Semiring>(use_spa: bool, spa: &mut Spa<S>, hash: &mut HashAccum<S>) {
-    if use_spa {
-        spa.reset();
-    } else {
-        hash.reset();
-    }
 }
 
 #[cfg(test)]
@@ -570,7 +671,7 @@ mod tests {
     use tsgemm_net::World;
     use tsgemm_sparse::gen::{erdos_renyi, random_tall, rmat, RMAT_WEB};
     use tsgemm_sparse::spgemm::spgemm as local_spgemm;
-    use tsgemm_sparse::{BoolAndOr, PlusTimesF64};
+    use tsgemm_sparse::{BoolAndOr, Coo, PlusTimesF64};
 
     /// Runs distributed TS-SpGEMM and checks the gathered result against a
     /// sequential multiply of the same operands.
@@ -767,6 +868,130 @@ mod tests {
         });
         for c in out.results {
             assert_eq!(c, expected);
+        }
+    }
+
+    /// Short, narrow tiles with every off-diagonal sub-tile remote, so each
+    /// output row merges owner contributions, partials from several source
+    /// ranks and several column bands.
+    fn remote_only_small_tiles(accum: AccumChoice) -> TsConfig {
+        TsConfig {
+            tile_height: Some(3),
+            tile_width: Some(10),
+            policy: ModePolicy::RemoteOnly,
+            accum,
+            ..TsConfig::default()
+        }
+    }
+
+    /// Runs distributed TS-SpGEMM under `cfg`, checks every rank's block is
+    /// well-formed CSR, and returns the gathered product on each rank plus
+    /// the number of remote sub-tiles served.
+    fn gathered<S: Semiring>(
+        n: usize,
+        d: usize,
+        p: usize,
+        acoo: &Coo<S::T>,
+        bcoo: &Coo<S::T>,
+        cfg: &TsConfig,
+    ) -> (Vec<Csr<S::T>>, u64) {
+        let out = World::run(p, |comm| {
+            let dist = BlockDist::new(n, p);
+            let a = DistCsr::from_global_coo::<S>(acoo, dist, comm.rank(), n);
+            let ac = ColBlocks::build::<S>(comm, &a);
+            let b = DistCsr::from_global_coo::<S>(bcoo, dist, comm.rank(), d);
+            let (c_local, stats) = ts_spgemm::<S>(comm, &a, &ac, &b, cfg);
+            c_local.validate().expect("rank output must be valid CSR");
+            let c = DistCsr {
+                dist,
+                rank: comm.rank(),
+                local: c_local,
+            };
+            (c.gather_global::<S>(comm), stats.remote_subtiles)
+        });
+        let remote = out.results.iter().map(|r| r.1).sum();
+        (out.results.into_iter().map(|r| r.0).collect(), remote)
+    }
+
+    #[test]
+    fn bool_semiring_remote_merge_is_byte_exact() {
+        let n = 40;
+        let d = 4;
+        let acoo = erdos_renyi(n, 4.0, 81).map_values(|_| true);
+        let (fcoo, _) = tsgemm_sparse::gen::init_frontier(n, d, 82);
+        let expected = local_spgemm::<BoolAndOr>(
+            &acoo.to_csr::<BoolAndOr>(),
+            &fcoo.to_csr::<BoolAndOr>(),
+            AccumChoice::Auto,
+        );
+        for accum in [AccumChoice::Spa, AccumChoice::Hash] {
+            let cfg = remote_only_small_tiles(accum);
+            let (results, remote) = gathered::<BoolAndOr>(n, d, 4, &acoo, &fcoo, &cfg);
+            assert!(remote > 0, "{accum:?}: no remote sub-tiles exercised");
+            for c in results {
+                assert_eq!(c, expected, "{accum:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_drops_entries_that_cancel_to_zero() {
+        // p = 4, n = 20: blocks of 5 rows, column bands 0..10 and 10..20.
+        let (n, d, p) = (20, 2, 4);
+        let mut acoo = Coo::new(n, n);
+        // Row 0: diagonal 2 against a remote partial -2 from rank 1 (same
+        // column band), and two remote partials 3 / -3 from ranks 2 and 3.
+        acoo.push(0, 0, 2.0);
+        acoo.push(0, 5, -2.0);
+        acoo.push(0, 12, 3.0);
+        acoo.push(0, 15, -3.0);
+        // Row 1: diagonal 1 in column band 0 against a remote partial -1 in
+        // column band 1, cancelled by the cross-band merge.
+        acoo.push(1, 1, 1.0);
+        acoo.push(1, 11, -1.0);
+        // Row 1 also keeps one entry that survives, in column 1.
+        acoo.push(1, 6, 4.0);
+        let mut bcoo = Coo::new(n, d);
+        for r in [0, 1, 5, 11, 12, 15] {
+            bcoo.push(r, 0, 1.0);
+        }
+        bcoo.push(6, 1, 1.0);
+        let expected = local_spgemm::<PlusTimesF64>(
+            &acoo.to_csr::<PlusTimesF64>(),
+            &bcoo.to_csr::<PlusTimesF64>(),
+            AccumChoice::Auto,
+        );
+        assert_eq!(expected.get(0, 0), None);
+        assert_eq!(expected.get(1, 0), None);
+        assert_eq!(expected.get(1, 1), Some(4.0));
+        for accum in [AccumChoice::Spa, AccumChoice::Hash] {
+            let cfg = remote_only_small_tiles(accum);
+            let (results, remote) = gathered::<PlusTimesF64>(n, d, p, &acoo, &bcoo, &cfg);
+            assert!(remote > 0, "{accum:?}: no remote sub-tiles exercised");
+            for c in results {
+                assert_eq!(c, expected, "{accum:?}: cancelled entries must be dropped");
+                assert_eq!(c.nnz(), 1, "{accum:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_rank_output_is_valid_csr() {
+        let n = 64;
+        let d = 8;
+        let acoo = rmat(6, 6.0, RMAT_WEB, 83);
+        let bcoo = random_tall(n, d, 0.5, 84);
+        let expected = local_spgemm::<PlusTimesF64>(
+            &acoo.to_csr::<PlusTimesF64>(),
+            &bcoo.to_csr::<PlusTimesF64>(),
+            AccumChoice::Auto,
+        );
+        for accum in [AccumChoice::Spa, AccumChoice::Hash] {
+            let cfg = remote_only_small_tiles(accum);
+            let (results, _) = gathered::<PlusTimesF64>(n, d, 4, &acoo, &bcoo, &cfg);
+            for c in results {
+                assert!(c.approx_eq(&expected, 1e-9), "{accum:?}");
+            }
         }
     }
 

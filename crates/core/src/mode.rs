@@ -49,14 +49,27 @@ pub enum ModePolicy {
 pub struct Modes {
     /// Modes of the sub-tiles this rank serves (keyed by tile owner, rb, cb).
     pub serve: HashMap<SubTileKey, TileMode>,
-    /// Modes of this rank's own sub-tiles, keyed by (rb, cb, serving rank).
-    pub own: HashMap<(u32, u32, usize), TileMode>,
+    /// Modes of this rank's own sub-tiles: one row of `p` entries per tile
+    /// step (`rb · n_col_bands + cb`), indexed by serving rank. `None` where
+    /// that rank serves no sub-tile of the step (always on the diagonal).
+    own: Vec<Option<TileMode>>,
+    n_col_bands: usize,
+    p: usize,
     /// Count of sub-tiles this rank serves in local mode.
     pub n_local: u64,
     /// Count served in remote mode.
     pub n_remote: u64,
     /// Count of this rank's diagonal sub-tiles (no communication).
     pub n_diag: u64,
+}
+
+impl Modes {
+    /// Modes of this rank's sub-tiles in step `(rb, cb)`, indexed by the
+    /// serving rank.
+    pub fn own(&self, rb: usize, cb: usize) -> &[Option<TileMode>] {
+        let step = rb * self.n_col_bands + cb;
+        &self.own[step * self.p..(step + 1) * self.p]
+    }
 }
 
 /// Total `nnz` of the local `B` rows a sub-tile needs. Bucket entries are
@@ -191,7 +204,7 @@ pub fn decide_modes<S: Semiring>(
     }
 
     let received = comm.alltoallv(sends, format!("{tag_prefix}:modes"));
-    let mut own = HashMap::new();
+    let mut own = vec![None; tiling.steps() * p];
     for (j, msgs) in received.into_iter().enumerate() {
         for (rb, cb, m) in msgs {
             let mode = if m == TileMode::Remote as u8 {
@@ -199,13 +212,16 @@ pub fn decide_modes<S: Semiring>(
             } else {
                 TileMode::Local
             };
-            own.insert((rb, cb, j), mode);
+            let step = rb as usize * tiling.n_col_bands + cb as usize;
+            own[step * p + j] = Some(mode);
         }
     }
 
     Modes {
         serve,
         own,
+        n_col_bands: tiling.n_col_bands,
+        p,
         n_local,
         n_remote,
         n_diag,
@@ -259,14 +275,14 @@ mod tests {
             for (&(i, rb, cb), &mode) in &modes.serve {
                 let owner_modes = &out.results[i].1;
                 assert_eq!(
-                    owner_modes.own.get(&(rb, cb, *j)),
-                    Some(&mode),
+                    owner_modes.own(rb as usize, cb as usize)[*j],
+                    Some(mode),
                     "rank {i} must know mode of ({rb},{cb}) served by {j}"
                 );
             }
         }
         for (_, modes) in &out.results {
-            total_own += modes.own.len();
+            total_own += modes.own.iter().flatten().count();
         }
         assert_eq!(total_serve, total_own);
         assert!(total_serve > 0);
@@ -360,7 +376,7 @@ mod tests {
                 decide_modes::<PlusTimesF64>(comm, &tiling, &buckets, &b, ModePolicy::Hybrid, "t");
             let me = comm.rank();
             let has_self_serve = modes.serve.keys().any(|&(i, _, _)| i == me);
-            let has_self_own = modes.own.keys().any(|&(_, _, j)| j == me);
+            let has_self_own = modes.own.chunks(modes.p).any(|step| step[me].is_some());
             (modes.n_diag, has_self_serve, has_self_own)
         });
         for (n_diag, self_serve, self_own) in out.results {

@@ -14,19 +14,23 @@
 //!    the only overhead while disabled is one relaxed atomic load per
 //!    allocator call.
 //!
-//! Accounting is process-global (a global allocator cannot be per-thread
-//! without thread-local bookkeeping this repo does not need): under
-//! [`crate::World::run`] the counters therefore aggregate all ranks, which
-//! is exactly the "resident bytes of the whole job on one node" quantity
-//! the paper's tiling claim (§III-B) bounds. `tests/memory_invariant.rs`
-//! drives it: peak bytes during the tile loop must stay under the
-//! resident-slice formula `f(w, nnz)` for every tile width, and the flight
-//! recorder's record path must allocate nothing at all.
+//! Byte accounting is process-global: under [`crate::World::run`] the
+//! counters aggregate all ranks, which is exactly the "resident bytes of
+//! the whole job on one node" quantity the paper's tiling claim (§III-B)
+//! bounds. Allocation calls are counted twice: process-wide
+//! ([`alloc_count`]) and per calling thread ([`thread_alloc_count`]), so a
+//! check that one code path allocates nothing is not polluted by other
+//! threads of the process (a test harness spawning or retiring threads).
+//! `tests/memory_invariant.rs` drives it: peak bytes during the tile loop
+//! must stay under the resident-slice formula `f(w, nnz)` for every tile
+//! width, and the flight recorder's record path must allocate nothing at
+//! all.
 //!
 //! `LIVE` is signed: frees of memory allocated *before* counting was
 //! enabled would otherwise underflow the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -34,12 +38,20 @@ static LIVE: AtomicI64 = AtomicI64::new(0);
 static PEAK: AtomicI64 = AtomicI64::new(0);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates or registers anything.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Drop-in replacement for [`System`] that counts bytes when enabled.
 pub struct CountingAlloc;
 
 #[inline]
 fn on_alloc(size: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
+    // `try_with` fails only while the thread is being torn down.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
     let live = LIVE.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -109,6 +121,12 @@ pub fn peak_bytes() -> u64 {
 /// Number of allocation calls counted so far.
 pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Number of allocation calls the calling thread has made while counting
+/// was on. Never reset: measure a region by the difference of two reads.
+pub fn thread_alloc_count() -> u64 {
+    THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
 /// Resets the peak to the current live level (so a subsequent
@@ -203,6 +221,24 @@ mod tests {
         assert_eq!(peak_bytes(), 50);
         on_alloc(10);
         assert_eq!(peak_bytes(), 60);
+        reset();
+    }
+
+    #[test]
+    fn thread_count_sees_only_the_calling_thread() {
+        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        set_enabled(false);
+        reset();
+        let before = thread_alloc_count();
+        on_alloc(8);
+        std::thread::spawn(|| {
+            on_alloc(8);
+            on_alloc(8);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(thread_alloc_count() - before, 1);
+        assert_eq!(alloc_count(), 3);
         reset();
     }
 

@@ -122,6 +122,8 @@ pub struct HashAccum<S: Semiring> {
     vals: Vec<S::T>,
     mask: usize,
     len: usize,
+    /// Drain buffer, kept across rows so draining allocates nothing.
+    pairs: Vec<(Idx, S::T)>,
 }
 
 impl<S: Semiring> HashAccum<S> {
@@ -133,6 +135,7 @@ impl<S: Semiring> HashAccum<S> {
             vals: vec![S::zero(); cap],
             mask: cap - 1,
             len: 0,
+            pairs: Vec::new(),
         }
     }
 
@@ -195,21 +198,19 @@ impl<S: Semiring> Accumulator<S> for HashAccum<S> {
     }
 
     fn drain_sorted(&mut self, idx_out: &mut Vec<Idx>, val_out: &mut Vec<S::T>) {
-        let mut pairs: Vec<(Idx, S::T)> = Vec::with_capacity(self.len);
+        self.pairs.clear();
         for i in 0..self.keys.len() {
             if self.keys[i] != EMPTY_KEY {
                 if !S::is_zero(&self.vals[i]) {
-                    pairs.push((self.keys[i], self.vals[i]));
+                    self.pairs.push((self.keys[i], self.vals[i]));
                 }
                 self.keys[i] = EMPTY_KEY;
             }
         }
         self.len = 0;
-        pairs.sort_unstable_by_key(|&(k, _)| k);
-        for (k, v) in pairs {
-            idx_out.push(k);
-            val_out.push(v);
-        }
+        self.pairs.sort_unstable_by_key(|&(k, _)| k);
+        idx_out.extend(self.pairs.iter().map(|&(k, _)| k));
+        val_out.extend(self.pairs.iter().map(|&(_, v)| v));
     }
 
     fn reset(&mut self) {

@@ -93,10 +93,20 @@ impl<T: Copy> Coo<T> {
     /// Converts to CSR, combining duplicate coordinates with `S::add` and
     /// dropping entries that combine to semiring zero.
     pub fn to_csr<S: Semiring<T = T>>(&self) -> Csr<T> {
-        let mut entries = self.entries.clone();
+        self.clone().into_csr::<S>()
+    }
+
+    /// Consuming [`Coo::to_csr`]: sorts the triplet list in place instead of
+    /// sorting a copy.
+    pub fn into_csr<S: Semiring<T = T>>(self) -> Csr<T> {
+        let Coo {
+            nrows,
+            ncols,
+            mut entries,
+        } = self;
         entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
 
-        let mut indptr = Vec::with_capacity(self.nrows + 1);
+        let mut indptr = Vec::with_capacity(nrows + 1);
         let mut indices: Vec<Idx> = Vec::with_capacity(entries.len());
         let mut values: Vec<T> = Vec::with_capacity(entries.len());
         indptr.push(0);
@@ -119,12 +129,12 @@ impl<T: Copy> Coo<T> {
                 values.push(v);
             }
         }
-        while row < self.nrows {
+        while row < nrows {
             indptr.push(indices.len());
             row += 1;
         }
 
-        Csr::from_parts(self.nrows, self.ncols, indptr, indices, values)
+        Csr::from_parts(nrows, ncols, indptr, indices, values)
     }
 
     /// The transpose as a new COO (swaps coordinates).
@@ -172,6 +182,19 @@ mod tests {
         let csr = coo.to_csr::<PlusTimesF64>();
         assert_eq!(csr.nnz(), 1);
         assert_eq!(csr.get(0, 0), None);
+    }
+
+    #[test]
+    fn into_csr_equals_to_csr() {
+        let mut coo = Coo::new(3, 3);
+        coo.push(2, 1, 1.5);
+        coo.push(0, 2, 2.0);
+        coo.push(2, 1, -1.5);
+        coo.push(0, 0, 4.0);
+        assert_eq!(
+            coo.clone().into_csr::<PlusTimesF64>(),
+            coo.to_csr::<PlusTimesF64>()
+        );
     }
 
     #[test]

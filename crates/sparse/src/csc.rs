@@ -34,13 +34,13 @@ impl<T: Copy> Csc<T> {
     /// Builds a CSC matrix from a CSR one (counting-sort transpose of the
     /// index structure; the logical matrix is unchanged).
     pub fn from_csr(csr: &Csr<T>) -> Self {
-        let t = csr.transpose(); // CSR of Aᵀ ≡ CSC of A
+        let (indptr, indices, values) = csr.transpose().into_parts(); // CSR of Aᵀ ≡ CSC of A
         Self {
             nrows: csr.nrows(),
             ncols: csr.ncols(),
-            indptr: t.indptr().to_vec(),
-            indices: t.indices().to_vec(),
-            values: t.values().to_vec(),
+            indptr,
+            indices,
+            values,
         }
     }
 

@@ -91,6 +91,11 @@ impl<T: Copy> Csr<T> {
         Ok(())
     }
 
+    /// The raw `(indptr, indices, values)` arrays, without copying.
+    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<Idx>, Vec<T>) {
+        (self.indptr, self.indices, self.values)
+    }
+
     pub fn nrows(&self) -> usize {
         self.nrows
     }

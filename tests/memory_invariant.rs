@@ -68,18 +68,25 @@ fn resident_slice_case(accum: AccumChoice) {
     alloc::set_enabled(false);
     alloc::reset();
 
-    let n = 1024usize;
-    let d = 32;
+    resident_slice(accum, 1024, 32, 4.0, 0x3E31, &[1024 / 16, 1024 / 4, 1024]);
+    // Large enough that the fixed 4 MiB slack no longer hides how many
+    // bytes the multiply spends per output nonzero.
+    resident_slice(accum, 4096, 64, 8.0, 0x3E33, &[4096 / 16]);
+}
+
+/// Both checks on `A = erdos_renyi(n, deg)`, `B = random_tall(n, d, 0.5)`
+/// at p = 4, for each tile width in `widths`.
+fn resident_slice(accum: AccumChoice, n: usize, d: usize, deg: f64, seed: u64, widths: &[usize]) {
     let p = 4;
-    let acoo = erdos_renyi(n, 4.0, 0x3E31);
-    let bcoo = random_tall(n, d, 0.5, 0x3E32);
+    let acoo = erdos_renyi(n, deg, seed);
+    let bcoo = random_tall(n, d, 0.5, seed + 1);
     let bcsr = bcoo.to_csr::<PlusTimesF64>();
     // Sequential reference outside the measured window, for the C-size term.
     let c_nnz = spgemm::<PlusTimesF64>(&acoo.to_csr::<PlusTimesF64>(), &bcsr, AccumChoice::Auto)
         .nnz() as u64;
     assert!(c_nnz > 0, "degenerate problem");
 
-    for &w in &[n / 16, n / 4, n] {
+    for &w in widths {
         let window = max_window_nnz(&bcsr, w);
         let out = World::run(p, |comm| {
             let dist = BlockDist::new(n, p);
@@ -136,7 +143,7 @@ fn resident_slice_case(accum: AccumChoice) {
         let envelope = 96 * c_nnz + (p as u64) * 8 * window * TRIP_BYTES + (4 << 20);
         assert!(
             mem.peak_delta <= envelope,
-            "w={w}: accounted peak {} B exceeds envelope {} B \
+            "n={n}, w={w}: accounted peak {} B exceeds envelope {} B \
              (c_nnz={c_nnz}, window={window})",
             mem.peak_delta,
             envelope,
@@ -208,17 +215,15 @@ fn empty_alltoallv_allocations_do_not_grow_with_p() {
     );
 }
 
-/// The ring pre-reserves its backing store, tags are inline fixed-size
-/// arrays, and payloads are scalars — so steady-state recording must not
-/// touch the heap at all. A per-event allocation would show up as ≥ 10 000
-/// counter increments here; a small tolerance absorbs unrelated test-harness
-/// threads that may allocate while the switch is on.
 /// Telemetry's zero-cost-when-off contract: with `TSGEMM_TELEMETRY_ADDR`
 /// unset, [`telemetry::global`] constructs nothing — no rings, no thread,
 /// no socket — and steady-state calls (one per `World::run`) are
 /// allocation-free, pinned by the counting allocator. This test must live
 /// in this binary (its environment never sets the variable), because the
-/// global is a process-wide `OnceLock` decided at first touch.
+/// global is a process-wide `OnceLock` decided at first touch. It counts
+/// the calling thread's allocations only: building rings or spawning a
+/// thread would allocate on this thread, while the test harness starting
+/// or retiring other test threads must not count.
 #[test]
 fn telemetry_disabled_constructs_nothing_and_never_allocates() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -227,13 +232,13 @@ fn telemetry_disabled_constructs_nothing_and_never_allocates() {
     alloc::reset();
 
     alloc::set_enabled(true);
-    let before = alloc::alloc_count();
+    let before = alloc::thread_alloc_count();
     // Includes the very first call (the OnceLock init path reads the env
     // into a stack buffer and stores `None` inline).
     for _ in 0..10_000 {
         assert!(tsgemm::core::trace::telemetry::global().is_none());
     }
-    let delta = alloc::alloc_count() - before;
+    let delta = alloc::thread_alloc_count() - before;
     alloc::set_enabled(false);
 
     assert!(
@@ -243,6 +248,11 @@ fn telemetry_disabled_constructs_nothing_and_never_allocates() {
     );
 }
 
+/// The ring pre-reserves its backing store, tags are inline fixed-size
+/// arrays, and payloads are scalars — so steady-state recording must not
+/// touch the heap at all. A per-event allocation would show up as ≥ 10 000
+/// counter increments here. Only the recording thread's allocations are
+/// counted, so test-harness threads allocating meanwhile cannot fail it.
 #[test]
 fn flight_recording_allocates_nothing_per_event() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -251,7 +261,7 @@ fn flight_recording_allocates_nothing_per_event() {
 
     let mut rec = FlightRecorder::with_capacity(0, 256);
     alloc::set_enabled(true);
-    let before = alloc::alloc_count();
+    let before = alloc::thread_alloc_count();
     for i in 0..10_000u64 {
         rec.record(
             "ts:bfetch",
@@ -270,7 +280,7 @@ fn flight_recording_allocates_nothing_per_event() {
             },
         );
     }
-    let delta = alloc::alloc_count() - before;
+    let delta = alloc::thread_alloc_count() - before;
     alloc::set_enabled(false);
 
     assert_eq!(rec.total_recorded(), 20_000);

@@ -41,7 +41,13 @@ fn writes_ci_trace_artifact() {
             "missing pid for rank {rank}"
         );
     }
-    for phase in ["ts:bfetch", "ts:cret", "ts:symbolic", "ts:kernel"] {
+    for phase in [
+        "ts:bfetch",
+        "ts:cret",
+        "ts:symbolic",
+        "ts:kernel",
+        "ts:buckets",
+    ] {
         assert!(json.contains(phase), "missing phase slice {phase}");
     }
     // Balanced braces/brackets — a cheap structural check without a JSON
