@@ -11,7 +11,9 @@ use std::collections::HashSet;
 use tsgemm_sparse::{Coo, Csr, Idx};
 
 /// Splits a symmetric graph into a training graph and a held-out edge list.
-/// A `frac` share of the undirected edges is removed (both directions).
+/// A `frac` share of the undirected edges is removed (both directions). The
+/// held-out list is sorted, so callers that pair it with further random
+/// draws get the same pairs on every run.
 pub fn split_edges(g: &Coo<f64>, frac: f64, seed: u64) -> (Coo<f64>, Vec<(Idx, Idx)>) {
     assert!((0.0..1.0).contains(&frac), "held-out fraction in [0,1)");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -30,10 +32,9 @@ pub fn split_edges(g: &Coo<f64>, frac: f64, seed: u64) -> (Coo<f64>, Vec<(Idx, I
         })
         .copied()
         .collect();
-    (
-        Coo::from_entries(g.nrows(), g.ncols(), train),
-        held.into_iter().collect(),
-    )
+    let mut held: Vec<(Idx, Idx)> = held.into_iter().collect();
+    held.sort_unstable();
+    (Coo::from_entries(g.nrows(), g.ncols(), train), held)
 }
 
 /// Dot product of two sparse embedding rows.
@@ -105,6 +106,15 @@ mod tests {
             assert!(tm.get(v as usize, u).is_none(), "({v},{u}) still in train");
         }
         assert!(train.nnz() < g.nnz());
+    }
+
+    #[test]
+    fn split_returns_the_same_held_out_list_every_call() {
+        let g = symmetrize(&erdos_renyi(200, 6.0, 305));
+        let (_, first) = split_edges(&g, 0.4, 306);
+        let (_, second) = split_edges(&g, 0.4, 306);
+        assert!(first.len() > 10);
+        assert_eq!(first, second);
     }
 
     #[test]

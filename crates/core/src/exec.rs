@@ -206,6 +206,14 @@ pub fn ts_spgemm<S: Semiring>(
 /// order: the owner's own contributions in `A`-column order, then the
 /// remote partials in source-rank order, then the column bands in `cb`
 /// order.
+///
+/// With several column bands a step visits only the band's rows that hold
+/// `A` entries in its column band (the only rows a remote partial can
+/// reach), and drains each into one band buffer tagged with its row. At the
+/// band's end a stable counting pass groups those segments by row in `cb`
+/// order: a row with one segment is copied as drained, a row with more is
+/// ⊕-merged through the accumulator, so every output bit is what merging
+/// one drained row per column band would give.
 pub fn try_ts_spgemm<S: Semiring>(
     comm: &mut Comm,
     a: &DistCsr<S::T>,
@@ -247,12 +255,16 @@ pub fn try_ts_spgemm<S: Semiring>(
 
     let use_spa = matches!(cfg.accum.resolve(d), AccumChoice::Spa);
     let mut acc = RowAccum::<S>::new(use_spa, d);
+    let multi_band = tiling.n_col_bands > 1;
     // The output, one row band at a time. With a single column band a
-    // step's rows are final and go straight here; otherwise each step
-    // fills one entry of `band_parts` and the band is merged after its
-    // last step.
+    // step's rows are final and go straight here; otherwise each step's
+    // row segments go to `band`, which is merged after the band's last
+    // step.
     let mut c_out = RowBlock::new();
-    let mut band_parts: Vec<RowBlock<S::T>> = Vec::new();
+    let mut band = BandSegments::new();
+    // The rows each step visits, rebuilt at the first step of a row band.
+    let mut active = ActiveRows::new();
+    let mut seg_nnz = Vec::new();
     // Received B rows indexed over the column band, remote partials over
     // the row band; both reused across steps.
     let mut brows = RowIndex::new();
@@ -280,15 +292,12 @@ pub fn try_ts_spgemm<S: Semiring>(
             let mut bsend: Vec<Vec<Trip<S::T>>> = (0..p).map(|_| Vec::new()).collect();
             let mut csend: Vec<Vec<Trip<S::T>>> = (0..p).map(|_| Vec::new()).collect();
             let (bcol_lo, _) = ac.col_range();
-            for i in 0..p {
+            let serve = modes.serve(rb, cb);
+            for (i, bucket) in buckets.step(rb, cb) {
                 if i == me {
                     continue;
                 }
-                let key = (i, rb as u32, cb as u32);
-                let Some(bucket) = buckets.get(&key) else {
-                    continue;
-                };
-                match modes.serve[&key] {
+                match serve[i].expect("every non-empty served sub-tile has a mode") {
                     TileMode::Local => {
                         // Ship each distinct needed B row once (bucket is
                         // grouped by column, so transitions mark new rows).
@@ -356,6 +365,9 @@ pub fn try_ts_spgemm<S: Semiring>(
 
             // ---- tile-owner role: multiply and merge partials per row ----
             let kernel_span = comm.span(|| format!("{}:kernel", cfg.tag));
+            if cb == 0 {
+                active.fill(&a.local, lo_l..hi_l, &tiling);
+            }
             let (cb_lo, cb_hi) = tiling.col_band_range(cb);
             brows.fill(&brecv, cb_lo, (cb_hi - cb_lo) as usize, S::zero());
             cparts.fill(&crecv, band_lo, hi_l - lo_l, S::zero());
@@ -366,7 +378,6 @@ pub fn try_ts_spgemm<S: Semiring>(
                 my_lo,
                 band_lo: lo_l,
                 cb_lo,
-                cb_hi,
                 me,
                 dist,
                 a_local: &a.local,
@@ -375,25 +386,33 @@ pub fn try_ts_spgemm<S: Semiring>(
                 brows: &brows,
                 cparts: &cparts,
             };
-            let step_out = if tiling.n_col_bands == 1 {
-                &mut c_out
+            let segs = active.step(cb);
+            let step_out = if multi_band {
+                band.ids.extend(segs.iter().map(|s| s.row));
+                &mut band.rows
             } else {
-                band_parts.push(RowBlock::new());
-                band_parts.last_mut().expect("just pushed")
+                &mut c_out
             };
             if pool.nthreads() == 1 {
-                flops += owner_rows(&ctx, lo_l..hi_l, &mut acc, step_out);
+                flops += owner_rows(&ctx, segs, &mut acc, step_out);
             } else {
-                // nnz-balanced chunks over this band of A's local rows; one
-                // private accumulator per chunk (the paper's per-thread SPA),
+                // nnz-balanced chunks over this step's rows; one private
+                // accumulator per chunk (the paper's per-thread SPA),
                 // per-chunk row blocks appended in row order so the output
                 // is byte-identical to the sequential pass.
-                let chunks = nnz_chunks_range(a.local.indptr(), lo_l, hi_l, pool.nthreads());
+                let mut total = 0;
+                seg_nnz.clear();
+                seg_nnz.push(0);
+                seg_nnz.extend(segs.iter().map(|s| {
+                    total += (s.hi - s.lo) as usize;
+                    total
+                }));
+                let chunks = nnz_chunks_range(&seg_nnz, 0, segs.len(), pool.nthreads());
                 let parts = pool.run(chunks.len(), |k| {
                     let t0 = trace.then(Instant::now);
                     let mut c_acc = RowAccum::<S>::new(use_spa, d);
                     let mut rows = RowBlock::new();
-                    let f = owner_rows(&ctx, chunks[k].clone(), &mut c_acc, &mut rows);
+                    let f = owner_rows(&ctx, &segs[chunks[k].clone()], &mut c_acc, &mut rows);
                     (rows, f, t0.map(|t| (t, Instant::now())))
                 });
                 for (k, (rows, f, span)) in parts.into_iter().enumerate() {
@@ -414,19 +433,10 @@ pub fn try_ts_spgemm<S: Semiring>(
             );
         }
 
-        // ---- MERGE: ⊕ the band's column-band partials row by row ---------
-        if tiling.n_col_bands > 1 {
+        // ---- MERGE: ⊕ the band's column-band segments row by row --------
+        if multi_band {
             let merge_span = comm.span(|| format!("{}:merge", cfg.tag));
-            for r in 0..hi_l - lo_l {
-                for part in &band_parts {
-                    let (cols, vals) = part.row(r);
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        acc.accumulate(c, v);
-                    }
-                }
-                acc.drain_row(&mut c_out);
-            }
-            band_parts.clear();
+            band.merge_into(hi_l - lo_l, &mut acc, &mut c_out);
             merge_span.end();
         }
     }
@@ -471,6 +481,12 @@ impl<T: Copy> RowBlock<T> {
     fn row(&self, r: usize) -> (&[Idx], &[T]) {
         let (lo, hi) = (self.indptr[r], self.indptr[r + 1]);
         (&self.indices[lo..hi], &self.values[lo..hi])
+    }
+
+    fn clear(&mut self) {
+        self.indptr.truncate(1);
+        self.indices.clear();
+        self.values.clear();
     }
 
     /// Appends `other`'s rows after this block's (its `indptr` rebased).
@@ -586,14 +602,176 @@ impl<T: Copy> RowIndex<T> {
     }
 }
 
+/// The entries `lo..hi` of band row `row` that fall in one column band.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Segment {
+    row: u32,
+    lo: u32,
+    hi: u32,
+}
+
+/// The rows of one row band that each of its steps visits. With one column
+/// band that is every row of the band, whole. With several, column band
+/// `cb` lists only the rows holding `A` entries in it, with where those
+/// entries start and end in the row, so no step searches a row for its
+/// slice. One pass over the band's entries finds the segments, and a stable
+/// counting pass groups them by column band, keeping row order.
+struct ActiveRows {
+    /// Column band `cb`'s segments are `segs[offsets[cb]..offsets[cb + 1]]`.
+    offsets: Vec<usize>,
+    segs: Vec<Segment>,
+    /// The band's segments in row order, tagged with their column band.
+    found: Vec<(u32, Segment)>,
+}
+
+impl ActiveRows {
+    fn new() -> Self {
+        Self {
+            offsets: Vec::new(),
+            segs: Vec::new(),
+            found: Vec::new(),
+        }
+    }
+
+    /// Re-indexes the local rows `rows` of `a` for `tiling`'s column bands.
+    fn fill<T: Copy>(&mut self, a: &Csr<T>, rows: std::ops::Range<usize>, tiling: &Tiling) {
+        let first = rows.start;
+        self.segs.clear();
+        self.offsets.clear();
+        if tiling.n_col_bands == 1 {
+            self.segs.extend(rows.map(|r| Segment {
+                row: (r - first) as u32,
+                lo: 0,
+                hi: a.row_nnz(r) as u32,
+            }));
+            self.offsets.extend([0, self.segs.len()]);
+            return;
+        }
+        self.found.clear();
+        self.offsets.resize(tiling.n_col_bands + 1, 0);
+        for r in rows {
+            let cols = a.row(r).0;
+            let mut lo = 0;
+            while lo < cols.len() {
+                let cb = tiling.col_band_of(cols[lo]);
+                let cb_hi = tiling.col_band_range(cb).1;
+                let mut hi = lo + 1;
+                while hi < cols.len() && cols[hi] < cb_hi {
+                    hi += 1;
+                }
+                let seg = Segment {
+                    row: (r - first) as u32,
+                    lo: lo as u32,
+                    hi: hi as u32,
+                };
+                self.found.push((cb as u32, seg));
+                self.offsets[cb + 1] += 1;
+                lo = hi;
+            }
+        }
+        for cb in 1..self.offsets.len() {
+            self.offsets[cb] += self.offsets[cb - 1];
+        }
+        self.segs.resize(self.found.len(), Segment::default());
+        // `offsets[cb]` is the fill cursor of column band `cb`; each ends at
+        // the start of the next, and shifting them back restores the starts.
+        for &(cb, seg) in &self.found {
+            let at = &mut self.offsets[cb as usize];
+            self.segs[*at] = seg;
+            *at += 1;
+        }
+        self.offsets.rotate_right(1);
+        self.offsets[0] = 0;
+    }
+
+    /// The segments step `cb` of the band visits, in row order.
+    fn step(&self, cb: usize) -> &[Segment] {
+        &self.segs[self.offsets[cb]..self.offsets[cb + 1]]
+    }
+}
+
+/// One row band's drained row segments across its column-band steps, each
+/// tagged with its band row, and the buffers that merge them per row.
+struct BandSegments<T> {
+    rows: RowBlock<T>,
+    ids: Vec<u32>,
+    /// Row `r`'s segments are `order[start[r]..start[r + 1]]`.
+    start: Vec<usize>,
+    order: Vec<u32>,
+}
+
+impl<T: Copy> BandSegments<T> {
+    fn new() -> Self {
+        Self {
+            rows: RowBlock::new(),
+            ids: Vec::new(),
+            start: Vec::new(),
+            order: Vec::new(),
+        }
+    }
+
+    /// Appends the band's `nrows` rows to `out` and empties the buffer. A
+    /// stable counting pass groups the segments by row, keeping `cb` order.
+    /// A row without segments is empty, one segment is copied as drained
+    /// (a drained row is sorted and holds no zeros, so accumulating and
+    /// draining it again would give the same bits), and several are
+    /// ⊕-merged through `acc` in `cb` order.
+    fn merge_into<S: Semiring<T = T>>(
+        &mut self,
+        nrows: usize,
+        acc: &mut RowAccum<S>,
+        out: &mut RowBlock<T>,
+    ) {
+        self.start.clear();
+        self.start.resize(nrows + 1, 0);
+        for &r in &self.ids {
+            self.start[r as usize + 1] += 1;
+        }
+        for r in 1..=nrows {
+            self.start[r] += self.start[r - 1];
+        }
+        self.order.resize(self.ids.len(), 0);
+        for (k, &r) in self.ids.iter().enumerate() {
+            let at = &mut self.start[r as usize];
+            self.order[*at] = k as u32;
+            *at += 1;
+        }
+        // Each cursor now ends where the next row starts.
+        let mut lo = 0;
+        for r in 0..nrows {
+            let hi = self.start[r];
+            match &self.order[lo..hi] {
+                [] => out.indptr.push(out.indices.len()),
+                &[k] => {
+                    let (cols, vals) = self.rows.row(k as usize);
+                    out.indices.extend_from_slice(cols);
+                    out.values.extend_from_slice(vals);
+                    out.indptr.push(out.indices.len());
+                }
+                segs => {
+                    for &k in segs {
+                        let (cols, vals) = self.rows.row(k as usize);
+                        for (&c, &v) in cols.iter().zip(vals) {
+                            acc.accumulate(c, v);
+                        }
+                    }
+                    acc.drain_row(out);
+                }
+            }
+            lo = hi;
+        }
+        self.rows.clear();
+        self.ids.clear();
+    }
+}
+
 /// Shared-read context for the tile-owner multiply over one `(rb, cb)`
-/// step: everything a worker needs to process a chunk of local rows.
+/// step: everything a worker needs to process a run of the step's rows.
 struct OwnerCtx<'a, S: Semiring> {
     my_lo: Idx,
     /// First local row of the band (row 0 of `cparts`).
     band_lo: usize,
     cb_lo: Idx,
-    cb_hi: Idx,
     me: usize,
     dist: BlockDist,
     a_local: &'a Csr<S::T>,
@@ -606,26 +784,25 @@ struct OwnerCtx<'a, S: Semiring> {
     cparts: &'a RowIndex<S::T>,
 }
 
-/// The tile-owner multiply for a contiguous range of *local* rows: Gustavson
-/// over the tile's column slice plus the row's remote partials, each row
-/// drained once into `out`. A row's output depends only on that row's
-/// accumulate/drain sequence, so any partition of the band into ranges,
-/// appended in order, reproduces the full-band pass exactly.
+/// The tile-owner multiply for a run of a step's row segments: Gustavson
+/// over each row's entries in the tile's column slice plus the row's remote
+/// partials, each row drained once into `out`. A row's output depends only
+/// on that row's accumulate/drain sequence, so any partition of the step's
+/// segments into runs, appended in order, reproduces the full pass exactly.
 fn owner_rows<S: Semiring>(
     ctx: &OwnerCtx<'_, S>,
-    rows: std::ops::Range<usize>,
+    segs: &[Segment],
     acc: &mut RowAccum<S>,
     out: &mut RowBlock<S::T>,
 ) -> u64 {
     let mut flops = 0u64;
-    for r_local in rows {
-        let (cols, vals) = ctx.a_local.row(r_local);
-        let start = cols.partition_point(|&c| c < ctx.cb_lo);
-        let end = cols.partition_point(|&c| c < ctx.cb_hi);
+    for seg in segs {
+        let r = seg.row as usize;
+        let (cols, vals) = ctx.a_local.row(ctx.band_lo + r);
         // Serving rank of the current column and the end of its range;
         // columns are sorted, so the owner only changes at range ends.
         let (mut j, mut j_hi) = (0usize, 0 as Idx);
-        for idx in start..end {
+        for idx in seg.lo as usize..seg.hi as usize {
             let c = cols[idx];
             let va = vals[idx];
             if c >= j_hi {
@@ -657,7 +834,7 @@ fn owner_rows<S: Semiring>(
                 }
             }
         }
-        for &(col, val) in ctx.cparts.row(r_local - ctx.band_lo) {
+        for &(col, val) in ctx.cparts.row(r) {
             acc.accumulate(col, val);
         }
         acc.drain_row(out);
@@ -973,6 +1150,57 @@ mod tests {
                 assert_eq!(c.nnz(), 1, "{accum:?}");
             }
         }
+    }
+
+    #[test]
+    fn narrow_tiles_merge_row_segments_exactly() {
+        // p = 4, n = 40, w = n/p: four column bands. Rows cycle through no
+        // entries, entries in one column band, in two, and in all four, so
+        // the band merge sees rows with 0, 1 and several segments. Small
+        // integer values make every sum exact in any order, so the result
+        // must equal the sequential product bit for bit.
+        let (n, d, p) = (40, 6, 4);
+        let mut acoo = Coo::new(n, n);
+        for r in 0..n as Idx {
+            let bands = match r % 4 {
+                0 => vec![],
+                1 => vec![(r / 4) % 4],
+                2 => vec![0, 3],
+                _ => vec![0, 1, 2, 3],
+            };
+            for band in bands {
+                acoo.push(r, 10 * band + r % 10, 1.0);
+                acoo.push(r, 10 * band + (r * 7 + 3) % 10, 2.0);
+            }
+        }
+        let bcoo = random_tall(n, d, 0.5, 17).map_values(|v| (v * 8.0).floor() + 1.0);
+        let expected = local_spgemm::<PlusTimesF64>(
+            &acoo.to_csr::<PlusTimesF64>(),
+            &bcoo.to_csr::<PlusTimesF64>(),
+            AccumChoice::Auto,
+        );
+        let configured = tsgemm_pool::configured_threads();
+        for h in [1, 3] {
+            for policy in [ModePolicy::Hybrid, ModePolicy::RemoteOnly] {
+                for accum in [AccumChoice::Spa, AccumChoice::Hash] {
+                    let cfg = TsConfig {
+                        tile_height: Some(h),
+                        tile_width: Some(n / p),
+                        policy,
+                        accum,
+                        ..TsConfig::default()
+                    };
+                    for threads in [1, 4] {
+                        tsgemm_pool::set_threads(threads);
+                        let (results, _) = gathered::<PlusTimesF64>(n, d, p, &acoo, &bcoo, &cfg);
+                        for c in results {
+                            assert_eq!(c, expected, "h={h} {policy:?} {accum:?} threads={threads}");
+                        }
+                    }
+                }
+            }
+        }
+        tsgemm_pool::set_threads(configured);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 
 use crate::colpart::Trip;
 use crate::dist::DistCsr;
-use crate::tiling::{subtile_csr, SubTileKey, TileBuckets, Tiling};
-use std::collections::HashMap;
+use crate::tiling::{subtile_csr, TileBuckets, Tiling};
 use tsgemm_net::{Comm, FlightEventKind};
 use tsgemm_sparse::semiring::Semiring;
 use tsgemm_sparse::spgemm::spgemm_symbolic;
@@ -47,11 +46,13 @@ pub enum ModePolicy {
 
 /// Outcome of the symbolic step on one rank.
 pub struct Modes {
-    /// Modes of the sub-tiles this rank serves (keyed by tile owner, rb, cb).
-    pub serve: HashMap<SubTileKey, TileMode>,
-    /// Modes of this rank's own sub-tiles: one row of `p` entries per tile
-    /// step (`rb · n_col_bands + cb`), indexed by serving rank. `None` where
-    /// that rank serves no sub-tile of the step (always on the diagonal).
+    /// Modes of the sub-tiles this rank serves: one row of `p` entries per
+    /// tile step (`rb · n_col_bands + cb`), indexed by tile owner. `None`
+    /// where this rank serves no sub-tile of that owner (always for itself).
+    serve: Vec<Option<TileMode>>,
+    /// Modes of this rank's own sub-tiles, laid out like `serve` but indexed
+    /// by serving rank. `None` where that rank serves no sub-tile of the
+    /// step (always on the diagonal).
     own: Vec<Option<TileMode>>,
     n_col_bands: usize,
     p: usize,
@@ -64,11 +65,26 @@ pub struct Modes {
 }
 
 impl Modes {
+    fn row<'a>(
+        &self,
+        modes: &'a [Option<TileMode>],
+        rb: usize,
+        cb: usize,
+    ) -> &'a [Option<TileMode>] {
+        let step = rb * self.n_col_bands + cb;
+        &modes[step * self.p..(step + 1) * self.p]
+    }
+
     /// Modes of this rank's sub-tiles in step `(rb, cb)`, indexed by the
     /// serving rank.
     pub fn own(&self, rb: usize, cb: usize) -> &[Option<TileMode>] {
-        let step = rb * self.n_col_bands + cb;
-        &self.own[step * self.p..(step + 1) * self.p]
+        self.row(&self.own, rb, cb)
+    }
+
+    /// Modes of the sub-tiles this rank serves in step `(rb, cb)`, indexed
+    /// by the tile owner.
+    pub fn serve(&self, rb: usize, cb: usize) -> &[Option<TileMode>] {
+        self.row(&self.serve, rb, cb)
     }
 }
 
@@ -94,6 +110,8 @@ fn needed_b_nnz<T: Copy, U: Copy>(
 ///
 /// `buckets` is the per-sub-tile view of this rank's `A^c` block; `b` is the
 /// local `B` row block (its rows are exactly the `B` rows this rank serves).
+/// Sub-tiles are decided in (step, owner) order, so the flight events and
+/// the `:modes` messages are the same on every run.
 pub fn decide_modes<S: Semiring>(
     comm: &mut Comm,
     tiling: &Tiling,
@@ -102,11 +120,44 @@ pub fn decide_modes<S: Semiring>(
     policy: ModePolicy,
     tag_prefix: &str,
 ) -> Modes {
+    let p = comm.size();
+    let (mut modes, sends) = decide::<S>(comm, tiling, buckets, b, policy, tag_prefix);
+    let received = comm.alltoallv(sends, format!("{tag_prefix}:modes"));
+    let own = &mut modes.own;
+    own.resize(tiling.steps() * p, None);
+    for (j, msgs) in received.into_iter().enumerate() {
+        for (rb, cb, m) in msgs {
+            let mode = if m == TileMode::Remote as u8 {
+                TileMode::Remote
+            } else {
+                TileMode::Local
+            };
+            let step = rb as usize * tiling.n_col_bands + cb as usize;
+            own[step * p + j] = Some(mode);
+        }
+    }
+    modes
+}
+
+/// `(rb, cb, mode)` messages for each tile owner: the `:modes` payload.
+type ModeMsgs = Vec<Vec<(u32, u32, u8)>>;
+
+/// The symbolic pass of [`decide_modes`]: decides every non-empty sub-tile
+/// this rank serves, in (step, owner) order. Returns the modes without
+/// `own`, which the exchange fills, and the messages to post.
+fn decide<S: Semiring>(
+    comm: &mut Comm,
+    tiling: &Tiling,
+    buckets: &TileBuckets<S::T>,
+    b: &DistCsr<S::T>,
+    policy: ModePolicy,
+    tag_prefix: &str,
+) -> (Modes, ModeMsgs) {
     let me = comm.rank();
     let p = comm.size();
     let trace = comm.trace_on();
     let trip_bytes = std::mem::size_of::<Trip<S::T>>() as u64;
-    let mut serve: HashMap<SubTileKey, TileMode> = HashMap::new();
+    let mut serve = vec![None; tiling.steps() * p];
     let mut n_local = 0u64;
     let mut n_remote = 0u64;
     let mut n_diag = 0u64;
@@ -115,12 +166,12 @@ pub fn decide_modes<S: Semiring>(
     // both counts are exact, not estimates).
     let mut predicted_bfetch = 0u64;
     let mut predicted_cret = 0u64;
-    let mut sends: Vec<Vec<(u32, u32, u8)>> = (0..p).map(|_| Vec::new()).collect();
+    let mut sends: ModeMsgs = (0..p).map(|_| Vec::new()).collect();
     // Drop-guard: the span closes even if a future edit adds an early return
     // from the symbolic loop. The closure only runs when tracing is on.
     let symbolic_span = comm.span(|| format!("{tag_prefix}:symbolic"));
 
-    for (&(i, rb, cb), bucket) in &buckets.map {
+    for ((i, rb, cb), bucket) in buckets.iter() {
         if i == me {
             n_diag += 1;
             continue;
@@ -183,7 +234,8 @@ pub fn decide_modes<S: Semiring>(
                 remote: mode == TileMode::Remote,
             },
         );
-        serve.insert((i, rb, cb), mode);
+        let step = rb as usize * tiling.n_col_bands + cb as usize;
+        serve[step * p + i] = Some(mode);
         sends[i].push((rb, cb, mode as u8));
     }
     symbolic_span.end();
@@ -203,29 +255,16 @@ pub fn decide_modes<S: Semiring>(
         });
     }
 
-    let received = comm.alltoallv(sends, format!("{tag_prefix}:modes"));
-    let mut own = vec![None; tiling.steps() * p];
-    for (j, msgs) in received.into_iter().enumerate() {
-        for (rb, cb, m) in msgs {
-            let mode = if m == TileMode::Remote as u8 {
-                TileMode::Remote
-            } else {
-                TileMode::Local
-            };
-            let step = rb as usize * tiling.n_col_bands + cb as usize;
-            own[step * p + j] = Some(mode);
-        }
-    }
-
-    Modes {
+    let modes = Modes {
         serve,
-        own,
+        own: Vec::new(),
         n_col_bands: tiling.n_col_bands,
         p,
         n_local,
         n_remote,
         n_diag,
-    }
+    };
+    (modes, sends)
 }
 
 #[cfg(test)]
@@ -261,30 +300,35 @@ mod tests {
         let d = 8;
         let acoo = erdos_renyi(n, 4.0, 3);
         let bcoo = random_tall(n, d, 0.5, 4);
+        let short_narrow = |dist| Tiling::new(dist, 5, 12);
         let out = World::run(4, |comm| {
-            let (tiling, buckets, b) = setup(comm, n, &acoo, &bcoo, d, Tiling::default_for);
+            let (tiling, buckets, b) = setup(comm, n, &acoo, &bcoo, d, short_narrow);
             let modes =
                 decide_modes::<PlusTimesF64>(comm, &tiling, &buckets, &b, ModePolicy::Hybrid, "t");
-            (comm.rank(), modes)
+            (tiling, modes)
         });
-        // Every (i, rb, cb) that rank j serves must appear as (rb, cb, j) at i.
-        let mut total_serve = 0usize;
-        let mut total_own = 0usize;
-        for (j, modes) in &out.results {
-            total_serve += modes.serve.len();
-            for (&(i, rb, cb), &mode) in &modes.serve {
-                let owner_modes = &out.results[i].1;
-                assert_eq!(
-                    owner_modes.own(rb as usize, cb as usize)[*j],
-                    Some(mode),
-                    "rank {i} must know mode of ({rb},{cb}) served by {j}"
-                );
+        let tiling = out.results[0].0;
+        assert!(tiling.steps() > 1, "the mirror must hold across steps");
+        // Rank j serves (i, rb, cb) exactly when i receives (rb, cb) from j,
+        // with the same mode.
+        for rb in 0..tiling.n_row_bands {
+            for cb in 0..tiling.n_col_bands {
+                for (j, (_, server)) in out.results.iter().enumerate() {
+                    for (i, (_, owner)) in out.results.iter().enumerate() {
+                        assert_eq!(
+                            server.serve(rb, cb)[i],
+                            owner.own(rb, cb)[j],
+                            "({rb},{cb}) owned by {i}, served by {j}"
+                        );
+                    }
+                }
             }
         }
-        for (_, modes) in &out.results {
-            total_own += modes.own.iter().flatten().count();
-        }
-        assert_eq!(total_serve, total_own);
+        let total_serve: usize = out
+            .results
+            .iter()
+            .map(|(_, m)| m.serve.iter().flatten().count())
+            .sum();
         assert!(total_serve > 0);
     }
 
@@ -375,13 +419,57 @@ mod tests {
             let modes =
                 decide_modes::<PlusTimesF64>(comm, &tiling, &buckets, &b, ModePolicy::Hybrid, "t");
             let me = comm.rank();
-            let has_self_serve = modes.serve.keys().any(|&(i, _, _)| i == me);
+            let has_self_serve = modes.serve.chunks(modes.p).any(|step| step[me].is_some());
             let has_self_own = modes.own.chunks(modes.p).any(|step| step[me].is_some());
             (modes.n_diag, has_self_serve, has_self_own)
         });
         for (n_diag, self_serve, self_own) in out.results {
             assert!(n_diag > 0, "ER diagonal blocks are dense enough");
             assert!(!self_serve && !self_own, "diagonal must not be exchanged");
+        }
+    }
+
+    #[test]
+    fn symbolic_order_is_the_same_on_every_run() {
+        // Narrow, short tiles give every rank many sub-tiles per owner. Two
+        // symbolic passes must record the same `TileMode` events and post
+        // the same `:modes` messages.
+        let n = 96;
+        let d = 6;
+        let acoo = erdos_renyi(n, 6.0, 13);
+        let bcoo = random_tall(n, d, 0.5, 14);
+        let out = World::run(4, |comm| {
+            let runs: Vec<_> = ["a", "b"]
+                .into_iter()
+                .map(|tag| {
+                    let (tiling, buckets, b) =
+                        setup(comm, n, &acoo, &bcoo, d, |dist| Tiling::new(dist, 4, 8));
+                    let (_, sends) = decide::<PlusTimesF64>(
+                        comm,
+                        &tiling,
+                        &buckets,
+                        &b,
+                        ModePolicy::Hybrid,
+                        tag,
+                    );
+                    let events: Vec<_> = comm.flight(|f| {
+                        f.in_order()
+                            .filter(|e| {
+                                e.tag.as_str() == tag
+                                    && matches!(e.kind, FlightEventKind::TileMode { .. })
+                            })
+                            .map(|e| e.kind)
+                            .collect()
+                    });
+                    (events, sends)
+                })
+                .collect();
+            (runs[0].clone(), runs[1].clone())
+        });
+        for (rank, (first, second)) in out.results.iter().enumerate() {
+            assert!(first.0.len() > 8, "rank {rank} decided too few sub-tiles");
+            assert_eq!(first.0, second.0, "rank {rank}: TileMode events differ");
+            assert_eq!(first.1, second.1, "rank {rank}: :modes payloads differ");
         }
     }
 }

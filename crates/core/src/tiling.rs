@@ -6,13 +6,12 @@
 //! serving rank's column range — the unit for which the local/remote mode
 //! decision is made, since one rank owns all the `B` rows a sub-tile needs.
 //!
-//! The `A^c` side pre-buckets its entries by `(tile owner, row band, column
-//! band)` once; both the symbolic mode pass and the numeric remote multiply
-//! then work from the buckets without rescanning the CSC.
+//! The `A^c` side pre-buckets its entries by sub-tile once, in tile-step
+//! order; both the symbolic mode pass and the numeric remote multiply then
+//! work from the buckets without rescanning the CSC.
 
 use crate::colpart::ColBlocks;
 use crate::part::BlockDist;
-use std::collections::HashMap;
 use tsgemm_sparse::{Csr, Idx};
 
 /// Tile grid geometry, uniform across ranks.
@@ -92,30 +91,107 @@ impl Tiling {
 pub type SubTileKey = (usize, u32, u32);
 
 /// `A^c` entries bucketed per sub-tile: `(global row, local column, value)`.
+///
+/// One entry buffer ordered by sub-tile, tile step (`rb · n_col_bands + cb`)
+/// major and tile owner minor, plus one offset per sub-tile. A stable
+/// counting pass over the columns builds it, so the entries of a sub-tile
+/// keep column order: a run of equal local columns is one needed `B` row.
+/// Memory is O(nnz + steps · p).
 pub struct TileBuckets<T> {
-    pub map: HashMap<SubTileKey, Vec<(Idx, Idx, T)>>,
+    entries: Vec<(Idx, Idx, T)>,
+    /// Sub-tile `(step, i)` holds `entries[offsets[s]..offsets[s + 1]]` with
+    /// `s = step · p + i`.
+    offsets: Vec<u32>,
+    n_row_bands: usize,
+    n_col_bands: usize,
+    p: usize,
 }
 
 impl<T: Copy> TileBuckets<T> {
-    /// One pass over the local column block, assigning every entry to the
-    /// sub-tile it belongs to.
+    /// Two passes over the local column block: count the entries of every
+    /// sub-tile, then place each entry after its sub-tile's earlier ones.
     pub fn build(ac: &ColBlocks<T>, tiling: &Tiling) -> Self {
+        let p = tiling.dist.p();
+        let n_col_bands = tiling.n_col_bands;
         let (clo, _) = ac.col_range();
-        let mut map: HashMap<SubTileKey, Vec<(Idx, Idx, T)>> = HashMap::new();
-        for (k, rows, vals) in ac.local.iter_cols() {
-            let g_col = clo + k as Idx;
-            let cb = tiling.col_band_of(g_col) as u32;
-            for (&r, &v) in rows.iter().zip(vals) {
-                let i = tiling.dist.owner(r);
-                let rb = tiling.band_of(i, r) as u32;
-                map.entry((i, rb, cb)).or_default().push((r, k as Idx, v));
+        // Sub-tile index of an entry in row `r` of a column in band `cb`.
+        let slot = |cb: usize, r: Idx| {
+            let i = tiling.dist.owner(r);
+            (tiling.band_of(i, r) * n_col_bands + cb) * p + i
+        };
+        let cols = || {
+            ac.local
+                .iter_cols()
+                .map(|(k, rows, vals)| (k, tiling.col_band_of(clo + k as Idx), rows, vals))
+        };
+        let nnz = ac.local.nnz();
+        assert!(
+            u32::try_from(nnz).is_ok(),
+            "A^c block of {nnz} entries overflows the u32 offsets"
+        );
+        let mut offsets = vec![0u32; tiling.steps() * p + 1];
+        for (_, cb, rows, _) in cols() {
+            for &r in rows {
+                offsets[slot(cb, r) + 1] += 1;
             }
         }
-        Self { map }
+        for s in 1..offsets.len() {
+            offsets[s] += offsets[s - 1];
+        }
+        let mut next = offsets.clone();
+        // Any value pads the buffer; the scatter overwrites every entry.
+        let mut entries = match cols().find_map(|(_, _, _, vals)| vals.first().copied()) {
+            Some(pad) => vec![(0, 0, pad); nnz],
+            None => Vec::new(),
+        };
+        for (k, cb, rows, vals) in cols() {
+            for (&r, &v) in rows.iter().zip(vals) {
+                let at = &mut next[slot(cb, r)];
+                entries[*at as usize] = (r, k as Idx, v);
+                *at += 1;
+            }
+        }
+        Self {
+            entries,
+            offsets,
+            n_row_bands: tiling.n_row_bands,
+            n_col_bands,
+            p,
+        }
     }
 
-    pub fn get(&self, key: &SubTileKey) -> Option<&[(Idx, Idx, T)]> {
-        self.map.get(key).map(|v| v.as_slice())
+    fn span(&self, s: usize) -> &[(Idx, Idx, T)] {
+        &self.entries[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    }
+
+    /// The entries of sub-tile `(i, rb, cb)`, or `None` when it is empty.
+    pub fn get(&self, &(i, rb, cb): &SubTileKey) -> Option<&[(Idx, Idx, T)]> {
+        let (rb, cb) = (rb as usize, cb as usize);
+        if i >= self.p || rb >= self.n_row_bands || cb >= self.n_col_bands {
+            return None;
+        }
+        let bucket = self.span((rb * self.n_col_bands + cb) * self.p + i);
+        (!bucket.is_empty()).then_some(bucket)
+    }
+
+    /// The non-empty sub-tiles of step `(rb, cb)` as `(owner, entries)`, in
+    /// owner order.
+    pub fn step(&self, rb: usize, cb: usize) -> impl Iterator<Item = (usize, &[(Idx, Idx, T)])> {
+        let base = (rb * self.n_col_bands + cb) * self.p;
+        (0..self.p).filter_map(move |i| {
+            let bucket = self.span(base + i);
+            (!bucket.is_empty()).then_some((i, bucket))
+        })
+    }
+
+    /// Every non-empty sub-tile in (step, owner) order.
+    pub fn iter(&self) -> impl Iterator<Item = (SubTileKey, &[(Idx, Idx, T)])> {
+        (0..self.n_row_bands).flat_map(move |rb| {
+            (0..self.n_col_bands).flat_map(move |cb| {
+                self.step(rb, cb)
+                    .map(move |(i, bucket)| ((i, rb as u32, cb as u32), bucket))
+            })
+        })
     }
 }
 
@@ -238,8 +314,24 @@ mod tests {
             let ac = crate::colpart::ColBlocks::build::<PlusTimesF64>(comm, &a);
             let t = Tiling::new(dist, 10, 15);
             let buckets = TileBuckets::build(&ac, &t);
-            let total: usize = buckets.map.values().map(|v| v.len()).sum();
-            (total, ac.local.nnz(), buckets.map.len())
+            let mut total = 0;
+            let mut keys = Vec::new();
+            for ((i, rb, cb), bucket) in buckets.iter() {
+                assert_eq!(buckets.get(&(i, rb, cb)), Some(bucket));
+                for &(r, k, _) in bucket {
+                    // Each entry sits in its own sub-tile, in column order.
+                    assert_eq!(dist.owner(r), i);
+                    assert_eq!(t.band_of(i, r), rb as usize);
+                    assert_eq!(t.col_band_of(ac.col_range().0 + k), cb as usize);
+                }
+                assert!(bucket.windows(2).all(|w| w[0].1 <= w[1].1));
+                total += bucket.len();
+                keys.push((rb, cb, i));
+            }
+            // (step, owner) order, each sub-tile once.
+            assert!(keys.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(buckets.get(&(p, 0, 0)), None);
+            (total, ac.local.nnz(), keys.len())
         });
         for (bucketed, nnz, groups) in out.results {
             assert_eq!(bucketed, nnz, "every entry lands in exactly one bucket");

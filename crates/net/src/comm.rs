@@ -16,10 +16,11 @@
 //!    each peer's alltoallv by move, or clones a shared value (allgatherv,
 //!    bcast, allreduce). The last reader of a posting takes it by move.
 //!
-//! Payloads are moved, not serialized, and an empty send costs nothing but
-//! its slot. Byte accounting uses `len * size_of::<T>()`, which corresponds
-//! to the dense wire size an MPI implementation would transfer for the same
-//! typed buffer.
+//! Payloads are moved, not serialized. An empty alltoallv column costs
+//! nothing: the receiver sees its declared count of zero and never touches
+//! the sender's slot. Byte accounting uses `len * size_of::<T>()`, which
+//! corresponds to the dense wire size an MPI implementation would transfer
+//! for the same typed buffer.
 //!
 //! Every collective exists in two forms: a fallible `try_*` variant that
 //! returns a typed [`CommError`] (the form fault-tolerant callers use, and
@@ -35,7 +36,7 @@
 use crate::fault::{CommError, FailureInfo, FaultCtx, FaultKind, ParkedPosition};
 use crate::flight::{FlightEventKind, FlightRecorder, FlightTag};
 use crate::metrics::MetricsRegistry;
-use crate::slab::{Payload, Slab, Wake};
+use crate::slab::{Declare, Payload, Slab, Wake};
 use crate::stats::{CollKind, CollectiveRecord, GroupInfo, RankProfile};
 use crate::telemetry::{RankTelemetry, TelEventKind};
 use crate::trace::TraceConfig;
@@ -436,7 +437,7 @@ impl Comm {
         &self,
         c: &Coll,
         readers: usize,
-        fill: impl FnOnce(&mut Vec<u64>) -> Option<Payload>,
+        fill: impl FnOnce(&Declare) -> Option<Payload>,
     ) -> Result<(), CommError> {
         let slab = &self.group.slab;
         slab.post(self.rank, c.seq, c.kind, readers, fill);
@@ -446,7 +447,7 @@ impl Comm {
         if let Some(gen) = slab.arrive() {
             let poll = self.fault.as_ref().map(|_| PARK_POLL);
             loop {
-                match slab.wait(self.rank, gen, poll) {
+                match slab.wait(gen, poll) {
                     Wake::Released => break,
                     Wake::Poisoned => panic!(
                         "collective aborted: a peer rank panicked while rank {} \
@@ -506,13 +507,18 @@ impl Comm {
             })
     }
 
+    /// Count `i` that `src` declared for `c` (see [`Slab::declared`]).
+    fn declared(&self, c: &Coll, src: usize, i: usize) -> u64 {
+        self.group.slab.declared(c.seq, src, i)
+    }
+
     /// Reads `src`'s posting of `c` with `f` (see [`Slab::read`]); `None`
     /// from `f` means the payload had the wrong type.
     fn read<R>(
         &self,
         c: &Coll,
         src: usize,
-        f: impl FnOnce(&mut Option<Payload>, &[u64], bool) -> Option<R>,
+        f: impl FnOnce(&mut Option<Payload>, bool) -> Option<R>,
     ) -> Result<R, CommError> {
         self.group.slab.read(c.seq, src, f).ok_or_else(|| {
             let err = CommError::PayloadTypeMismatch {
@@ -532,10 +538,10 @@ impl Comm {
         c: &Coll,
         src: usize,
     ) -> Result<Vec<T>, CommError> {
-        let (v, declared) = self.read(c, src, |payload, lens, last| {
-            Some((share_posted::<Vec<T>>(payload, last)?, lens[0]))
+        let v = self.read(c, src, |payload, last| {
+            share_posted::<Vec<T>>(payload, last)
         })?;
-        self.check_len(c, src, v, declared)
+        self.check_len(c, src, v, self.declared(c, src, 0))
     }
 
     /// Verifies that a received buffer has the length its sender declared.
@@ -639,6 +645,11 @@ impl Comm {
     /// Fallible [`Comm::alltoallv`]. On [`CommError::Injected`] no
     /// communication happened and the collective may be retried with the
     /// same buffers (callers must keep a copy; the originals are consumed).
+    ///
+    /// As in MPI, a zero-count column carries no payload: a receiver whose
+    /// column is declared empty never reads the sender's slot. Injected
+    /// [`FaultKind::Truncate`] and [`FaultKind::Corrupt`] faults therefore
+    /// surface only on columns that carry data.
     pub fn try_alltoallv<T: Send + 'static>(
         &mut self,
         mut sends: Vec<Vec<T>>,
@@ -660,12 +671,14 @@ impl Comm {
                 .filter(|(_, v)| !v.is_empty())
                 .map(|(dst, v)| (self.group.info.world_ranks[dst], v.len() as u64 * elem)),
         );
-        self.exchange(&c, self.size() - 1, |lens| {
-            lens.extend(sends.iter().map(|v| v.len() as u64));
+        // Only the peers with a non-empty column read this posting.
+        let readers = bytes_to.len();
+        self.exchange(&c, readers, |lens| {
+            lens.set(sends.iter().map(|v| v.len() as u64));
             for v in &mut sends {
                 truncate(v, &fx.tamper);
             }
-            Some(boxed(sends, &fx.tamper))
+            (readers > 0).then(|| boxed(sends, &fx.tamper))
         })?;
         let mut received = 0u64;
         let mut recv_msgs = 0u32;
@@ -675,14 +688,17 @@ impl Comm {
                 recvs.extend(own.take());
                 continue;
             }
-            let (data, declared) = self.read(&c, src, |payload, lens, _| {
+            let declared = self.declared(&c, src, me);
+            if declared == 0 {
+                recvs.push(Vec::new());
+                continue;
+            }
+            let data = self.read(&c, src, |payload, _| {
                 let rows = payload.as_deref_mut()?.downcast_mut::<Vec<Vec<T>>>()?;
-                Some((std::mem::take(&mut rows[me]), lens[me]))
+                Some(std::mem::take(&mut rows[me]))
             })?;
             let data = self.check_len(&c, src, data, declared)?;
-            if !data.is_empty() {
-                recv_msgs += 1;
-            }
+            recv_msgs += 1;
             received += data.len() as u64 * elem;
             recvs.push(data);
         }
@@ -728,7 +744,7 @@ impl Comm {
         };
         let mut own = Some(data.clone());
         self.exchange(&c, self.size() - 1, |lens| {
-            lens.push(data.len() as u64);
+            lens.set([data.len() as u64]);
             let mut data = data;
             truncate(&mut data, &fx.tamper);
             Some(boxed(data, &fx.tamper))
@@ -799,9 +815,7 @@ impl Comm {
         } else {
             assert!(value.is_none(), "non-root must pass None");
             self.exchange(&c, 0, |_| None)?;
-            let v = self.read(&c, root, |payload, _, last| {
-                share_posted::<T>(payload, last)
-            })?;
+            let v = self.read(&c, root, |payload, last| share_posted::<T>(payload, last))?;
             self.record(
                 CollKind::Bcast,
                 tag,
@@ -845,7 +859,7 @@ impl Comm {
             let bytes = data.len() as u64 * elem;
             let mut posted = data.clone();
             self.exchange(&c, self.size() - 1, |lens| {
-                lens.push(posted.len() as u64);
+                lens.set([posted.len() as u64]);
                 truncate(&mut posted, &fx.tamper);
                 Some(boxed(posted, &fx.tamper))
             })?;
@@ -917,7 +931,7 @@ impl Comm {
             let v = if src == self.rank {
                 own.take().expect("own value is folded once")
             } else {
-                self.read(&c, src, |payload, _, last| share_posted::<T>(payload, last))?
+                self.read(&c, src, |payload, last| share_posted::<T>(payload, last))?
             };
             acc = Some(match acc {
                 None => v,
@@ -972,10 +986,8 @@ impl Comm {
                     out.extend(own.take());
                     continue;
                 }
-                let (v, declared) = self.read(&c, src, |payload, lens, _| {
-                    Some((take_posted::<Vec<T>>(payload)?, lens[0]))
-                })?;
-                let v = self.check_len(&c, src, v, declared)?;
+                let v = self.read(&c, src, |payload, _| take_posted::<Vec<T>>(payload))?;
+                let v = self.check_len(&c, src, v, self.declared(&c, src, 0))?;
                 received += v.len() as u64 * elem;
                 out.push(v);
             }
@@ -998,7 +1010,7 @@ impl Comm {
                 Vec::new()
             };
             self.exchange(&c, 1, |lens| {
-                lens.push(data.len() as u64);
+                lens.set([data.len() as u64]);
                 let mut data = data;
                 truncate(&mut data, &fx.tamper);
                 Some(boxed(data, &fx.tamper))

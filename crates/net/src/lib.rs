@@ -34,6 +34,7 @@ pub mod comm;
 pub mod cost;
 pub mod fault;
 pub mod flight;
+mod futex;
 pub mod metrics;
 mod slab;
 pub mod stats;

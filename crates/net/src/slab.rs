@@ -13,23 +13,33 @@
 //! `seq + 2`, which means it passed the barrier of `seq + 1`, which every
 //! member reaches only after it finished reading collective `seq`.
 //!
-//! The barrier spins briefly, then parks. The last arriver bumps the
-//! generation under the wait-list lock and unparks every registered waiter,
-//! so a waiter that checks the generation under the same lock before
-//! parking cannot miss its wake-up. [`Slab::poison`] wakes every waiter the
-//! same way and makes it report [`Wake::Poisoned`].
+//! Declared element counts live in per-slot atomics next to the stamp, so
+//! a released reader can see what a peer sent it without taking the peer's
+//! slot lock. An alltoallv poster counts as readers only the peers whose
+//! column is non-empty, and a receiver whose column is declared empty
+//! skips the slot entirely: an exchange in which few (src, dst) pairs carry
+//! data costs a few locks, not p² of them.
+//!
+//! The barrier spins briefly, then sleeps on one 32-bit wake word
+//! (`futex.rs`). A waiter loads the word, re-checks the generation and the
+//! poison flag, and sleeps only while the word still holds what it loaded.
+//! The last arriver bumps the generation, then the word, and wakes every
+//! sleeper with one call; a release that lands between a waiter's check and
+//! its sleep changes the word, so the sleep returns at once and no wake-up
+//! is lost. [`Slab::poison`] bumps the word the same way and makes every
+//! waiter report [`Wake::Poisoned`].
 
+use crate::futex;
 use crate::stats::CollKind;
 use parking_lot::Mutex;
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::thread::{self, Thread};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// A type-erased posted payload.
 pub(crate) type Payload = Box<dyn Any + Send>;
 
-/// Generation checks a waiter makes before it parks. Ranks outnumber host
+/// Generation checks a waiter makes before it sleeps. Ranks outnumber host
 /// cores, so a long spin only steals the time the last arriver needs.
 const SPIN: u32 = 16;
 
@@ -54,10 +64,6 @@ fn stamp_of(seq: u64, kind: CollKind) -> u64 {
 /// What one rank posted for one collective.
 #[derive(Default)]
 struct Posting {
-    /// Declared element counts: one per destination for an alltoallv, one
-    /// for a single-buffer payload, none for scalars. Readers compare them
-    /// against what arrived to detect truncation.
-    lens: Vec<u64>,
     payload: Option<Payload>,
     /// Peers that have yet to read this posting.
     readers: usize,
@@ -66,7 +72,23 @@ struct Posting {
 struct Slot {
     /// `seq << 8 | kind` of the latest posting, or [`UNPOSTED`].
     stamp: AtomicU64,
+    /// Declared element counts of the latest posting: one per destination
+    /// for an alltoallv, one for a single-buffer payload, none for scalars.
+    /// Written before the poster arrives, read after the release.
+    lens: Box<[AtomicU64]>,
     posting: Mutex<Posting>,
+}
+
+/// Where a poster declares its element counts (see [`Slab::post`]).
+pub(crate) struct Declare<'a>(&'a [AtomicU64]);
+
+impl Declare<'_> {
+    /// Declares `counts[i]` as the count of entry `i`.
+    pub(crate) fn set(&self, counts: impl IntoIterator<Item = u64>) {
+        for (cell, n) in self.0.iter().zip(counts) {
+            cell.store(n, Ordering::Relaxed);
+        }
+    }
 }
 
 /// How a barrier wait ended.
@@ -84,9 +106,12 @@ pub(crate) struct Slab {
     banks: [Box<[Slot]>; 2],
     arrived: AtomicUsize,
     generation: AtomicU64,
+    /// The futex word: bumped by every release and by [`Slab::poison`].
+    wake: AtomicU32,
+    /// Waiters that are asleep on `wake` or about to sleep on it. A count
+    /// for tests and diagnosis; it orders nothing.
+    parked: AtomicUsize,
     poisoned: AtomicBool,
-    /// Parked waiters, indexed by group rank (re-registering is idempotent).
-    waiters: Mutex<Vec<Option<Thread>>>,
 }
 
 impl Slab {
@@ -95,6 +120,7 @@ impl Slab {
             (0..size)
                 .map(|_| Slot {
                     stamp: AtomicU64::new(UNPOSTED),
+                    lens: (0..size).map(|_| AtomicU64::new(0)).collect(),
                     posting: Mutex::new(Posting::default()),
                 })
                 .collect()
@@ -103,8 +129,9 @@ impl Slab {
             banks: [bank(), bank()],
             arrived: AtomicUsize::new(0),
             generation: AtomicU64::new(0),
+            wake: AtomicU32::new(0),
+            parked: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
-            waiters: Mutex::new(vec![None; size]),
         }
     }
 
@@ -112,22 +139,20 @@ impl Slab {
         &self.banks[(seq & 1) as usize][rank]
     }
 
-    /// Posts `rank`'s side of collective `seq`. `fill` runs under the slot
-    /// lock: it writes the declared lengths into the cleared vector it is
-    /// handed and returns the payload, which `readers` peers will read.
+    /// Posts `rank`'s side of collective `seq`. `fill` declares the element
+    /// counts and returns the payload, which `readers` peers will read.
     pub(crate) fn post(
         &self,
         rank: usize,
         seq: u64,
         kind: CollKind,
         readers: usize,
-        fill: impl FnOnce(&mut Vec<u64>) -> Option<Payload>,
+        fill: impl FnOnce(&Declare) -> Option<Payload>,
     ) {
         let slot = self.slot(seq, rank);
+        let payload = fill(&Declare(&slot.lens)).filter(|_| readers > 0);
         let stale = {
             let mut posting = slot.posting.lock();
-            posting.lens.clear();
-            let payload = fill(&mut posting.lens).filter(|_| readers > 0);
             posting.readers = readers;
             std::mem::replace(&mut posting.payload, payload)
         };
@@ -147,21 +172,29 @@ impl Slab {
         self.stamp(seq, rank).is_some_and(|(s, _)| s == seq)
     }
 
+    /// Count `i` that `src` declared for collective `seq`. Valid once the
+    /// group is released: `src` stored it before its arrival, and the
+    /// release hands every arrival on to the waiters (see [`Slab::arrive`]),
+    /// so `Relaxed` stores and loads suffice.
+    pub(crate) fn declared(&self, seq: u64, src: usize, i: usize) -> u64 {
+        self.slot(seq, src).lens[i].load(Ordering::Relaxed)
+    }
+
     /// Reads `src`'s posting for `seq` as one of its readers. `f` gets the
-    /// payload and the declared lengths, plus whether this is the last
-    /// reader, which should take the payload by move rather than clone it.
-    /// Whatever the last reader leaves behind is dropped after the lock.
+    /// payload plus whether this is the last reader, which should take the
+    /// payload by move rather than clone it. Whatever the last reader leaves
+    /// behind is dropped after the lock.
     pub(crate) fn read<R>(
         &self,
         seq: u64,
         src: usize,
-        f: impl FnOnce(&mut Option<Payload>, &[u64], bool) -> R,
+        f: impl FnOnce(&mut Option<Payload>, bool) -> R,
     ) -> R {
         let mut guard = self.slot(seq, src).posting.lock();
         let posting = &mut *guard;
         posting.readers = posting.readers.saturating_sub(1);
         let last = posting.readers == 0;
-        let out = f(&mut posting.payload, &posting.lens, last);
+        let out = f(&mut posting.payload, last);
         let rest = if last { posting.payload.take() } else { None };
         drop(guard);
         drop(rest);
@@ -184,22 +217,25 @@ impl Slab {
         // `Relaxed` is enough: nobody arrives for `gen + 1` before it has
         // acquired the generation bump below, which this store precedes.
         self.arrived.store(0, Ordering::Relaxed);
-        let mut waiters = self.waiters.lock();
         self.generation.store(gen + 1, Ordering::Release);
-        for t in waiters.iter_mut().filter_map(Option::take) {
-            t.unpark();
-        }
+        self.wake_all();
         None
+    }
+
+    /// Changes the wake word, then wakes every sleeper on it.
+    fn wake_all(&self) {
+        self.wake.fetch_add(1, Ordering::Release);
+        futex::wake_all(&self.wake);
     }
 
     fn released(&self, gen: u64) -> bool {
         self.generation.load(Ordering::Acquire) != gen
     }
 
-    /// Waits for generation `gen` to end. Without `poll` it parks until
+    /// Waits for generation `gen` to end. Without `poll` it sleeps until
     /// released or poisoned; with `poll` it returns [`Wake::TimedOut`]
     /// after at most that long so the caller can check on its peers.
-    pub(crate) fn wait(&self, rank: usize, gen: u64, poll: Option<Duration>) -> Wake {
+    pub(crate) fn wait(&self, gen: u64, poll: Option<Duration>) -> Wake {
         for _ in 0..SPIN {
             if self.released(gen) {
                 return Wake::Released;
@@ -207,20 +243,18 @@ impl Slab {
             std::hint::spin_loop();
         }
         loop {
-            {
-                let mut waiters = self.waiters.lock();
-                if self.released(gen) {
-                    return Wake::Released;
-                }
-                if self.poisoned.load(Ordering::Acquire) {
-                    return Wake::Poisoned;
-                }
-                waiters[rank] = Some(thread::current());
+            // Load the word before the checks: a release or poison after
+            // them changes it, and the sleep below then returns at once.
+            let word = self.wake.load(Ordering::Acquire);
+            if self.released(gen) {
+                return Wake::Released;
             }
-            match poll {
-                Some(d) => thread::park_timeout(d),
-                None => thread::park(),
+            if self.poisoned.load(Ordering::Acquire) {
+                return Wake::Poisoned;
             }
+            self.parked.fetch_add(1, Ordering::Relaxed);
+            futex::wait(&self.wake, word, poll);
+            self.parked.fetch_sub(1, Ordering::Relaxed);
             if self.released(gen) {
                 return Wake::Released;
             }
@@ -230,13 +264,10 @@ impl Slab {
         }
     }
 
-    /// Marks the group dead and wakes every parked waiter.
+    /// Marks the group dead and wakes every sleeping waiter.
     pub(crate) fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
-        let mut waiters = self.waiters.lock();
-        for t in waiters.iter_mut().filter_map(Option::take) {
-            t.unpark();
-        }
+        self.wake_all();
     }
 
     pub(crate) fn is_poisoned(&self) -> bool {
@@ -266,20 +297,31 @@ mod tests {
     fn last_reader_takes_the_payload() {
         let slab = Slab::new(3);
         slab.post(0, 4, CollKind::Bcast, 2, |lens| {
-            lens.push(2);
+            lens.set([2]);
             Some(Box::new(vec![1u8, 2]))
         });
-        let first = slab.read(4, 0, |p, lens, last| {
-            assert_eq!(lens, &[2]);
+        assert_eq!(slab.declared(4, 0, 0), 2);
+        let first = slab.read(4, 0, |p, last| {
             assert!(!last);
             p.is_some()
         });
-        let second = slab.read(4, 0, |p, _, last| {
+        let second = slab.read(4, 0, |p, last| {
             assert!(last);
             p.take().is_some()
         });
         assert!(first && second);
-        assert!(slab.read(4, 0, |p, _, _| p.is_none()));
+        assert!(slab.read(4, 0, |p, _| p.is_none()));
+    }
+
+    #[test]
+    fn a_posting_without_readers_keeps_no_payload() {
+        let slab = Slab::new(2);
+        slab.post(1, 6, CollKind::AllToAllV, 0, |lens| {
+            lens.set([0, 0]);
+            Some(Box::new(vec![Vec::<u8>::new(), Vec::new()]))
+        });
+        assert!(slab.posted(6, 1));
+        assert!(slab.read(6, 1, |p, _| p.is_none()));
     }
 
     #[test]
@@ -287,12 +329,12 @@ mod tests {
         let p = 6;
         let slab = Arc::new(Slab::new(p));
         std::thread::scope(|s| {
-            for rank in 0..p {
+            for _ in 0..p {
                 let slab = Arc::clone(&slab);
                 s.spawn(move || {
                     for _ in 0..200 {
                         if let Some(gen) = slab.arrive() {
-                            assert!(matches!(slab.wait(rank, gen, None), Wake::Released));
+                            assert!(matches!(slab.wait(gen, None), Wake::Released));
                         }
                     }
                 });
@@ -302,25 +344,86 @@ mod tests {
     }
 
     #[test]
+    fn futex_barrier_survives_poll_timeouts() {
+        // Rank 0 arrives last in every generation: after the others have
+        // arrived and one of their 1 ms polls has timed out. Each waiter
+        // must still see exactly one `Released` per generation, for that
+        // generation.
+        let (p, gens) = (4, 20u64);
+        let slab = Slab::new(p);
+        let timeouts = AtomicU64::new(0);
+        let poll = Some(Duration::from_millis(1));
+        let released: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..p)
+                .map(|rank| {
+                    let (slab, timeouts) = (&slab, &timeouts);
+                    s.spawn(move || {
+                        let mut released = 0u64;
+                        for g in 0..gens {
+                            if rank == 0 {
+                                let before = timeouts.load(Ordering::Acquire);
+                                while slab.arrived.load(Ordering::Acquire) < p - 1
+                                    || timeouts.load(Ordering::Acquire) == before
+                                {
+                                    std::thread::yield_now();
+                                }
+                            }
+                            let Some(gen) = slab.arrive() else {
+                                assert_eq!(rank, 0, "rank 0 arrives last");
+                                assert_eq!(slab.generation.load(Ordering::Acquire), g + 1);
+                                continue;
+                            };
+                            assert_eq!(gen, g, "rank {rank} arrived in the wrong generation");
+                            loop {
+                                match slab.wait(gen, poll) {
+                                    Wake::Released => break,
+                                    Wake::TimedOut => {
+                                        timeouts.fetch_add(1, Ordering::AcqRel);
+                                    }
+                                    Wake::Poisoned => panic!("nobody poisons this slab"),
+                                }
+                            }
+                            released += 1;
+                            // Nobody can start generation g + 1 without this
+                            // rank, so the release seen is exactly g's.
+                            assert_eq!(slab.generation.load(Ordering::Acquire), g + 1);
+                        }
+                        released
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // Every generation has one last arriver (rank 0) and p - 1 waiters.
+        assert_eq!(released[0], 0);
+        assert!(released[1..].iter().all(|&r| r == gens));
+        assert!(timeouts.load(Ordering::Acquire) >= gens);
+        assert_eq!(slab.generation.load(Ordering::Acquire), gens);
+        assert_eq!(slab.parked.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
     fn poison_wakes_parked_waiters() {
         let slab = Arc::new(Slab::new(3));
         std::thread::scope(|s| {
             let waiters: Vec<_> = (0..2)
-                .map(|rank| {
+                .map(|_| {
                     let slab = Arc::clone(&slab);
                     s.spawn(move || {
                         let gen = slab.arrive().expect("rank 2 never arrives");
-                        matches!(slab.wait(rank, gen, None), Wake::Poisoned)
+                        matches!(slab.wait(gen, None), Wake::Poisoned)
                     })
                 })
                 .collect();
-            // Poison only once both waiters have registered to park.
-            while !slab.waiters.lock()[..2].iter().all(Option::is_some) {
+            // Poison only once both waiters have passed their checks and
+            // committed to sleeping.
+            while slab.parked.load(Ordering::Acquire) < 2 {
                 std::thread::yield_now();
             }
             slab.poison();
             assert!(waiters.into_iter().all(|h| h.join().unwrap()));
         });
         assert!(slab.is_poisoned());
+        assert_eq!(slab.parked.load(Ordering::Acquire), 0);
     }
 }

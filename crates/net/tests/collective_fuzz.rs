@@ -3,7 +3,8 @@
 //! accounting must balance, regardless of ordering, sizes, or group shape.
 
 use proptest::prelude::*;
-use tsgemm_net::{Comm, CommError, CostModel, FaultPlan, World};
+use std::sync::atomic::{AtomicI64, Ordering};
+use tsgemm_net::{CollKind, Comm, CommError, CostModel, FaultPlan, World};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -228,6 +229,167 @@ fn mismatch_under_a_fault_plan_is_a_typed_error() {
                     ..
                 }) => assert_ne!(expected_kind, got_kind),
                 other => panic!("{a:?}/{b:?} rank {rank}: expected a mismatch, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// splitmix64, for deterministic sparse send patterns.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// Elements `src` sends `dst` in `round` of a sparse pattern: about one
+/// (src, dst) pair in twenty carries 1–4 elements, the rest are empty.
+fn sparse_len(seed: u64, round: usize, src: usize, dst: usize) -> usize {
+    let h = mix(seed ^ mix(((round as u64) << 40) ^ ((src as u64) << 20) ^ dst as u64));
+    if h.is_multiple_of(20) {
+        1 + (h >> 8) as usize % 4
+    } else {
+        0
+    }
+}
+
+/// Live [`Tracked`] values, to catch a payload that outlives its exchange.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
+struct Tracked(u64);
+
+impl Tracked {
+    fn new(v: u64) -> Self {
+        LIVE.fetch_add(1, Ordering::SeqCst);
+        Self(v)
+    }
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        LIVE.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn sparse_exchanges_match_the_reference_and_balance() {
+    const ROUNDS: usize = 6;
+    for p in [3usize, 16, 64] {
+        for seed in 0..3u64 {
+            let cells = ROUNDS * p * p;
+            let carrying = (0..ROUNDS)
+                .flat_map(|r| (0..p).flat_map(move |s| (0..p).map(move |d| (r, s, d))))
+                .filter(|&(r, s, d)| sparse_len(seed, r, s, d) > 0)
+                .count();
+            assert!(
+                carrying * 10 <= cells,
+                "p={p} seed={seed}: {carrying} of {cells} columns carry data"
+            );
+            let out = World::run(p, move |comm| {
+                let me = comm.rank();
+                for round in 0..ROUNDS {
+                    let sends: Vec<Vec<Tracked>> = (0..p)
+                        .map(|dst| {
+                            (0..sparse_len(seed, round, me, dst))
+                                .map(|k| Tracked::new(val(round, me, dst) + k as u64))
+                                .collect()
+                        })
+                        .collect();
+                    let recv = comm.alltoallv(sends, format!("sp{round}"));
+                    // The reference exchange: exactly what each source's
+                    // pattern sends this rank, in source order.
+                    for (src, data) in recv.iter().enumerate() {
+                        let expect: Vec<u64> = (0..sparse_len(seed, round, src, me))
+                            .map(|k| val(round, src, me) + k as u64)
+                            .collect();
+                        let got: Vec<u64> = data.iter().map(|t| t.0).collect();
+                        assert_eq!(got, expect, "p={p} seed={seed} round={round}: {src}->{me}");
+                    }
+                }
+                comm.barrier("sp:after1");
+                comm.barrier("sp:after2");
+                // Every rank dropped what it received before the first
+                // barrier, so nothing may remain in either slab bank.
+                assert_eq!(LIVE.load(Ordering::SeqCst), 0, "p={p} seed={seed}");
+            });
+            // Receivers account exactly what senders declared.
+            for round in 0..ROUNDS {
+                let tag = format!("sp{round}");
+                let recs: Vec<_> = out
+                    .profiles
+                    .iter()
+                    .map(|pr| {
+                        pr.segments
+                            .iter()
+                            .filter_map(|s| s.coll.as_ref())
+                            .find(|c| c.tag == tag)
+                            .expect("every rank recorded the exchange")
+                    })
+                    .collect();
+                for (r, rec) in recs.iter().enumerate() {
+                    let to_r: Vec<u64> = recs
+                        .iter()
+                        .flat_map(|c| c.bytes_to.iter())
+                        .filter(|&&(dst, _)| dst == r)
+                        .map(|&(_, b)| b)
+                        .collect();
+                    assert_eq!(rec.bytes_received, to_r.iter().sum::<u64>(), "{tag} at {r}");
+                    assert_eq!(rec.recv_msgs as usize, to_r.len(), "{tag} at {r}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn faults_on_a_sparse_exchange_name_sender_tag_and_kind() {
+    // Rank 3 sends four elements to rank 11 and nothing else moves.
+    let (p, src, dst) = (16, 3, 11);
+    for (plan, truncated) in [
+        (FaultPlan::none().truncate_at_op(src, 0, 0.5), true),
+        (FaultPlan::none().corrupt_at_op(src, 0), false),
+    ] {
+        let out = World::try_run(p, &plan, move |comm| {
+            let me = comm.rank();
+            let sends: Vec<Vec<u64>> = (0..p)
+                .map(|d| {
+                    if me == src && d == dst {
+                        vec![1, 2, 3, 4]
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect();
+            comm.try_alltoallv(sends, "sparse").map(drop)
+        });
+        for (r, res) in out.results.iter().enumerate() {
+            let res = res.as_ref().expect("no rank panics");
+            if r != dst {
+                assert!(res.is_ok(), "{:?}: rank {r} got {res:?}", plan.faults());
+                continue;
+            }
+            let err = res.as_ref().expect_err("the receiver sees the fault");
+            match err {
+                CommError::TruncatedPayload {
+                    rank,
+                    src: from,
+                    kind,
+                    tag,
+                    declared: 4,
+                    got: 2,
+                }
+                | CommError::PayloadTypeMismatch {
+                    rank,
+                    src: from,
+                    kind,
+                    tag,
+                } if *rank == dst && *from == src => {
+                    assert_eq!(*kind, CollKind::AllToAllV);
+                    assert_eq!(tag, "sparse");
+                    let is_truncation = matches!(err, CommError::TruncatedPayload { .. });
+                    assert_eq!(is_truncation, truncated, "{err}");
+                }
+                other => panic!("{:?}: unexpected {other:?}", plan.faults()),
             }
         }
     }

@@ -6,11 +6,12 @@
 # (each commit in its own empty working directory, since the harnesses
 # write results/ relative to the cwd) and diffs the CSVs byte for byte.
 #
-# fig13 is left out on purpose: its AUC column differs from run to run on
-# one commit, because `linkpred::split_edges` returns the held-out edges
-# in `HashSet` iteration order, so each run pairs them with different
-# sampled non-edges. Its time, comm and remote columns are reproducible;
-# add it here once that order is fixed.
+# fig13 is left out for now. `linkpred::split_edges` used to return the
+# held-out edges in `HashSet` iteration order, so each run paired them with
+# different sampled non-edges and the AUC column moved from run to run on
+# one commit. The list is sorted now, so fig13 is reproducible on a commit
+# that has that fix; add it to FIGS once BASE has it too, since a BASE
+# without it still differs from itself.
 #
 # Usage: scripts/figures_identity.sh [BASE [HEAD]]
 #   BASE defaults to the merge-base of HEAD and origin/main (else main).
