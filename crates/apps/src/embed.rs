@@ -100,48 +100,20 @@ fn epoch_seed(seed: u64, rank: usize, epoch: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-epoch statistics (this rank; aggregate across ranks in the harness).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EmbedEpochStats {
-    pub epoch: usize,
-    /// Sub-tiles this rank served in local mode across the epoch's batches.
-    pub local_subtiles: u64,
-    /// Sub-tiles served in remote mode (Fig. 13d numerator).
-    pub remote_subtiles: u64,
-    /// nnz of the local `Z` block at epoch end.
-    pub z_nnz: u64,
-}
-
-impl EmbedEpochStats {
-    /// Lowers into the registry namespace under `{phase}:e{epoch}`.
-    pub fn registry(&self, phase: &str) -> tsgemm_net::MetricsRegistry {
-        let mut m = tsgemm_net::MetricsRegistry::new();
-        let p = format!("{phase}:e{}", self.epoch);
-        m.counter_add(&p, "local_subtiles", self.local_subtiles);
-        m.counter_add(&p, "remote_subtiles", self.remote_subtiles);
-        m.counter_add(&p, "z_nnz", self.z_nnz);
-        m
-    }
-}
-
-impl tsgemm_net::Metrics for EmbedEpochStats {
-    /// Cross-rank merge of the *same* epoch: sub-tile counts and block nnz
-    /// sum to their global totals.
-    fn merge(&mut self, other: &Self) {
-        let EmbedEpochStats {
-            epoch,
-            local_subtiles,
-            remote_subtiles,
-            z_nnz,
-        } = *other;
-        self.epoch = self.epoch.max(epoch);
-        self.local_subtiles += local_subtiles;
-        self.remote_subtiles += remote_subtiles;
-        self.z_nnz += z_nnz;
-    }
-
-    fn snapshot(&self) -> tsgemm_net::MetricsRegistry {
-        self.registry("embed")
+tsgemm_net::stats_struct! {
+    /// Per-epoch statistics (this rank; aggregate across ranks in the
+    /// harness), recorded under `{phase}:e{epoch}`. A cross-rank merge of
+    /// the same epoch sums the sub-tile counts and block nnz to their
+    /// global totals.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct EmbedEpochStats {
+        pub epoch: usize => key("e"),
+        /// Sub-tiles this rank served in local mode across the epoch's batches.
+        pub local_subtiles: u64 => sum,
+        /// Sub-tiles served in remote mode (Fig. 13d numerator).
+        pub remote_subtiles: u64 => sum,
+        /// nnz of the local `Z` block at epoch end.
+        pub z_nnz: u64 => sum,
     }
 }
 

@@ -46,50 +46,20 @@ impl Default for BfsConfig {
     }
 }
 
-/// Per-iteration statistics (Fig. 12's per-iteration series).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BfsIterStats {
-    pub iter: usize,
-    /// Global nnz of the frontier entering this iteration (Fig. 12a).
-    pub frontier_nnz: u64,
-    /// Global newly discovered (unvisited) entries this iteration.
-    pub discovered_nnz: u64,
-    /// Whether the SpMM form was used.
-    pub used_spmm: bool,
-}
-
-impl BfsIterStats {
-    /// Lowers into the registry namespace under `{phase}:i{iter}`. The nnz
-    /// counts are already global (AllReduced), so they become gauges —
-    /// max-merging across ranks keeps the single global value.
-    pub fn registry(&self, phase: &str) -> tsgemm_net::MetricsRegistry {
-        let mut m = tsgemm_net::MetricsRegistry::new();
-        let p = format!("{phase}:i{}", self.iter);
-        m.gauge_max(&p, "frontier_nnz", self.frontier_nnz as f64);
-        m.gauge_max(&p, "discovered_nnz", self.discovered_nnz as f64);
-        m.gauge_max(&p, "used_spmm", self.used_spmm as u64 as f64);
-        m
-    }
-}
-
-impl tsgemm_net::Metrics for BfsIterStats {
-    /// Cross-rank merge of the *same* iteration: all fields are globally
-    /// agreed values, so merging takes the max (= the shared value).
-    fn merge(&mut self, other: &Self) {
-        let BfsIterStats {
-            iter,
-            frontier_nnz,
-            discovered_nnz,
-            used_spmm,
-        } = *other;
-        self.iter = self.iter.max(iter);
-        self.frontier_nnz = self.frontier_nnz.max(frontier_nnz);
-        self.discovered_nnz = self.discovered_nnz.max(discovered_nnz);
-        self.used_spmm |= used_spmm;
-    }
-
-    fn snapshot(&self) -> tsgemm_net::MetricsRegistry {
-        self.registry("bfs")
+tsgemm_net::stats_struct! {
+    /// Per-iteration statistics (Fig. 12's per-iteration series), recorded
+    /// under `{phase}:i{iter}`. Every field is a globally agreed value
+    /// (the nnz counts are AllReduced), so a cross-rank merge of the same
+    /// iteration takes the max, which is the shared value.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct BfsIterStats {
+        pub iter: usize => key("i"),
+        /// Global nnz of the frontier entering this iteration (Fig. 12a).
+        pub frontier_nnz: u64 => max,
+        /// Global newly discovered (unvisited) entries this iteration.
+        pub discovered_nnz: u64 => max,
+        /// Whether the SpMM form was used.
+        pub used_spmm: bool => max,
     }
 }
 
@@ -424,6 +394,29 @@ mod tests {
 
     fn bool_graph(n: usize, deg: f64, seed: u64) -> Coo<bool> {
         symmetrize(&erdos_renyi(n, deg, seed)).map_values(|_| true)
+    }
+
+    #[test]
+    fn registry_keys_and_types_are_stable() {
+        use tsgemm_net::MetricValue::Gauge;
+        let s = BfsIterStats {
+            iter: 3,
+            frontier_nnz: 40,
+            discovered_nnz: 12,
+            used_spmm: true,
+        };
+        let got: Vec<_> = s
+            .registry("bfs")
+            .iter()
+            .map(|((phase, name), v)| (phase.clone(), name.clone(), v.clone()))
+            .collect();
+        let want = [
+            ("discovered_nnz", Gauge(12.0)),
+            ("frontier_nnz", Gauge(40.0)),
+            ("used_spmm", Gauge(1.0)),
+        ]
+        .map(|(name, v)| ("bfs:i3".to_string(), name.to_string(), v));
+        assert_eq!(got, want);
     }
 
     #[test]

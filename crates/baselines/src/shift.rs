@@ -7,37 +7,17 @@
 //! the 1.5D dense shifting algorithm").
 
 use tsgemm_core::dist::DistCsr;
-use tsgemm_net::{Comm, Metrics, MetricsRegistry};
+use tsgemm_net::{Comm, Metrics};
 use tsgemm_pool::{nnz_chunks, Job, ThreadPool};
 use tsgemm_sparse::semiring::Semiring;
 use tsgemm_sparse::DenseMat;
 
-/// Per-rank statistics of a shifting SpMM run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShiftStats {
-    pub flops: u64,
-    pub stages: u64,
-}
-
-impl ShiftStats {
-    /// Lowers into the registry namespace under `phase`.
-    pub fn registry(&self, phase: &str) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        m.counter_add(phase, "flops", self.flops);
-        m.gauge_max(phase, "stages", self.stages as f64);
-        m
-    }
-}
-
-impl Metrics for ShiftStats {
-    fn merge(&mut self, other: &Self) {
-        let ShiftStats { flops, stages } = *other;
-        self.flops += flops;
-        self.stages = self.stages.max(stages);
-    }
-
-    fn snapshot(&self) -> MetricsRegistry {
-        self.registry("shift")
+tsgemm_net::stats_struct! {
+    /// Per-rank statistics of a shifting SpMM run.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ShiftStats {
+        pub flops: u64 => sum,
+        pub stages: u64 => max,
     }
 }
 

@@ -11,39 +11,19 @@
 use std::ops::Range;
 use tsgemm_core::part::BlockDist;
 use tsgemm_core::tiling::csr_from_unique_triplets;
-use tsgemm_net::{Comm, Metrics, MetricsRegistry};
+use tsgemm_net::{Comm, Metrics};
 use tsgemm_sparse::semiring::Semiring;
 use tsgemm_sparse::spgemm::{spgemm_flops, spgemm_par, AccumChoice};
 use tsgemm_sparse::{Coo, Csr, Idx};
 
 use crate::grid::Grid2d;
 
-/// Per-rank statistics of a SUMMA run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SummaStats {
-    pub flops: u64,
-    pub stages: u64,
-}
-
-impl SummaStats {
-    /// Lowers into the registry namespace under `phase`.
-    pub fn registry(&self, phase: &str) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        m.counter_add(phase, "flops", self.flops);
-        m.gauge_max(phase, "stages", self.stages as f64);
-        m
-    }
-}
-
-impl Metrics for SummaStats {
-    fn merge(&mut self, other: &Self) {
-        let SummaStats { flops, stages } = *other;
-        self.flops += flops;
-        self.stages = self.stages.max(stages);
-    }
-
-    fn snapshot(&self) -> MetricsRegistry {
-        self.registry("summa")
+tsgemm_net::stats_struct! {
+    /// Per-rank statistics of a SUMMA run.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct SummaStats {
+        pub flops: u64 => sum,
+        pub stages: u64 => max,
     }
 }
 

@@ -8,6 +8,7 @@
 //! separately and excluded from the multiply volume, mirroring how the
 //! paper times the multiply after operands are laid out.
 
+use std::sync::{Mutex, PoisonError};
 use tsgemm_baselines::shift::shift_spmm;
 use tsgemm_baselines::summa2d::summa2d;
 use tsgemm_baselines::summa3d::summa3d;
@@ -137,10 +138,14 @@ pub fn run_algo_traced(
     // Bucket the replicated operands once; ranks take their slice by clone
     // (the SUMMAs extract 2-D blocks themselves).
     let dist0 = BlockDist::new(n, p);
-    let a_parts = parking_lot::Mutex::new(partition_coo(acoo, dist0));
-    let b_parts = parking_lot::Mutex::new(partition_coo(bcoo, dist0));
-    let take_a = |rank: usize| std::mem::take(&mut a_parts.lock()[rank]);
-    let take_b = |rank: usize| std::mem::take(&mut b_parts.lock()[rank]);
+    let a_parts = Mutex::new(partition_coo(acoo, dist0));
+    let b_parts = Mutex::new(partition_coo(bcoo, dist0));
+    let take_a = |rank: usize| {
+        std::mem::take(&mut a_parts.lock().unwrap_or_else(PoisonError::into_inner)[rank])
+    };
+    let take_b = |rank: usize| {
+        std::mem::take(&mut b_parts.lock().unwrap_or_else(PoisonError::into_inner)[rank])
+    };
 
     let out = World::run_traced(p, trace, |comm| {
         let dist = BlockDist::new(n, p);

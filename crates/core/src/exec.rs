@@ -22,7 +22,7 @@ use crate::mode::{decide_modes, ModePolicy, TileMode};
 use crate::part::BlockDist;
 use crate::tiling::{subtile_csr, TileBuckets, Tiling};
 use std::time::Instant;
-use tsgemm_net::{alloc, Comm, CommError, FlightEventKind, Metrics, MetricsRegistry};
+use tsgemm_net::{alloc, Comm, CommError, FlightEventKind, Metrics};
 use tsgemm_pool::{nnz_chunks_range, ThreadPool};
 use tsgemm_sparse::accum::{Accumulator, HashAccum, Spa};
 use tsgemm_sparse::semiring::Semiring;
@@ -74,73 +74,27 @@ impl TsConfig {
     }
 }
 
-/// Per-rank statistics of one invocation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TsLocalStats {
-    /// Multiplications performed by this rank (server + owner roles).
-    pub flops: u64,
-    /// Peak bytes of transient received data (B rows + C partials) held
-    /// simultaneously during any single tile step (the Fig. 5a metric).
-    pub peak_transient_bytes: u64,
-    /// Sub-tiles this rank served in local mode.
-    pub local_subtiles: u64,
-    /// Sub-tiles this rank served in remote mode.
-    pub remote_subtiles: u64,
-    /// Diagonal sub-tiles (no communication).
-    pub diag_subtiles: u64,
-    /// Tile steps executed.
-    pub steps: u64,
-    /// Tile-step collectives retried after an injected transient failure
-    /// (always zero without an active fault plan).
-    pub retries: u64,
-}
-
-impl TsLocalStats {
-    /// Lowers into the registry namespace under `phase` (normally the
-    /// config's tag). Sum-like fields become counters, high-water marks
-    /// become gauges, so registry merges agree with [`Metrics::merge`].
-    pub fn registry(&self, phase: &str) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        m.counter_add(phase, "flops", self.flops);
-        m.gauge_max(
-            phase,
-            "peak_transient_bytes",
-            self.peak_transient_bytes as f64,
-        );
-        m.counter_add(phase, "local_subtiles", self.local_subtiles);
-        m.counter_add(phase, "remote_subtiles", self.remote_subtiles);
-        m.counter_add(phase, "diag_subtiles", self.diag_subtiles);
-        m.gauge_max(phase, "steps", self.steps as f64);
-        m.counter_add(phase, "retries", self.retries);
-        m
-    }
-}
-
-impl Metrics for TsLocalStats {
-    /// Element-wise aggregation across ranks (high-water marks take the max).
-    fn merge(&mut self, other: &Self) {
-        // Destructured so that adding a field without deciding its merge law
-        // is a compile error rather than a silently dropped count.
-        let TsLocalStats {
-            flops,
-            peak_transient_bytes,
-            local_subtiles,
-            remote_subtiles,
-            diag_subtiles,
-            steps,
-            retries,
-        } = *other;
-        self.flops += flops;
-        self.peak_transient_bytes = self.peak_transient_bytes.max(peak_transient_bytes);
-        self.local_subtiles += local_subtiles;
-        self.remote_subtiles += remote_subtiles;
-        self.diag_subtiles += diag_subtiles;
-        self.steps = self.steps.max(steps);
-        self.retries += retries;
-    }
-
-    fn snapshot(&self) -> MetricsRegistry {
-        self.registry("ts")
+tsgemm_net::stats_struct! {
+    /// Per-rank statistics of one invocation. Merging across ranks sums the
+    /// counts and keeps the high-water marks.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct TsLocalStats {
+        /// Multiplications performed by this rank (server + owner roles).
+        pub flops: u64 => sum,
+        /// Peak bytes of transient received data (B rows + C partials) held
+        /// simultaneously during any single tile step (the Fig. 5a metric).
+        pub peak_transient_bytes: u64 => max,
+        /// Sub-tiles this rank served in local mode.
+        pub local_subtiles: u64 => sum,
+        /// Sub-tiles this rank served in remote mode.
+        pub remote_subtiles: u64 => sum,
+        /// Diagonal sub-tiles (no communication).
+        pub diag_subtiles: u64 => sum,
+        /// Tile steps executed.
+        pub steps: u64 => max,
+        /// Tile-step collectives retried after an injected transient failure
+        /// (always zero without an active fault plan).
+        pub retries: u64 => sum,
     }
 }
 
@@ -929,9 +883,39 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         // The registry lowering agrees with the struct merge laws.
-        let mut ra = a.snapshot();
-        ra.merge(&b.snapshot());
-        assert_eq!(ra, ab.snapshot());
+        let mut ra = a.registry("ts");
+        ra.merge(&b.registry("ts"));
+        assert_eq!(ra, ab.registry("ts"));
+    }
+
+    #[test]
+    fn registry_keys_and_types_are_stable() {
+        use tsgemm_net::MetricValue::{Counter, Gauge};
+        let s = TsLocalStats {
+            flops: 1,
+            peak_transient_bytes: 2,
+            local_subtiles: 3,
+            remote_subtiles: 4,
+            diag_subtiles: 5,
+            steps: 6,
+            retries: 7,
+        };
+        let got: Vec<_> = s
+            .registry("ts")
+            .iter()
+            .map(|((phase, name), v)| (phase.clone(), name.clone(), v.clone()))
+            .collect();
+        let want = [
+            ("diag_subtiles", Counter(5)),
+            ("flops", Counter(1)),
+            ("local_subtiles", Counter(3)),
+            ("peak_transient_bytes", Gauge(2.0)),
+            ("remote_subtiles", Counter(4)),
+            ("retries", Counter(7)),
+            ("steps", Gauge(6.0)),
+        ]
+        .map(|(name, v)| ("ts".to_string(), name.to_string(), v));
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -16,43 +16,17 @@ use tsgemm_sparse::semiring::Semiring;
 use tsgemm_sparse::spgemm::{spgemm_flops, spgemm_par, AccumChoice};
 use tsgemm_sparse::{Csr, Idx};
 
-/// Per-rank statistics of a naive multiply.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NaiveLocalStats {
-    /// Multiplications performed locally.
-    pub flops: u64,
-    /// Number of `B` row indices this rank requested from others.
-    pub requested_rows: u64,
-    /// Bytes of `B` data resident at once for the local multiply (the
-    /// memory bottleneck the tiled algorithm removes).
-    pub resident_b_bytes: u64,
-}
-
-impl NaiveLocalStats {
-    /// Lowers into the registry namespace under `phase`.
-    pub fn registry(&self, phase: &str) -> tsgemm_net::MetricsRegistry {
-        let mut m = tsgemm_net::MetricsRegistry::new();
-        m.counter_add(phase, "flops", self.flops);
-        m.counter_add(phase, "requested_rows", self.requested_rows);
-        m.gauge_max(phase, "resident_b_bytes", self.resident_b_bytes as f64);
-        m
-    }
-}
-
-impl tsgemm_net::Metrics for NaiveLocalStats {
-    fn merge(&mut self, other: &Self) {
-        let NaiveLocalStats {
-            flops,
-            requested_rows,
-            resident_b_bytes,
-        } = *other;
-        self.flops += flops;
-        self.requested_rows += requested_rows;
-        self.resident_b_bytes = self.resident_b_bytes.max(resident_b_bytes);
-    }
-
-    fn snapshot(&self) -> tsgemm_net::MetricsRegistry {
-        self.registry("naive")
+tsgemm_net::stats_struct! {
+    /// Per-rank statistics of a naive multiply.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct NaiveLocalStats {
+        /// Multiplications performed locally.
+        pub flops: u64 => sum,
+        /// Number of `B` row indices this rank requested from others.
+        pub requested_rows: u64 => sum,
+        /// Bytes of `B` data resident at once for the local multiply (the
+        /// memory bottleneck the tiled algorithm removes).
+        pub resident_b_bytes: u64 => max,
     }
 }
 

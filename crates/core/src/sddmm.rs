@@ -18,34 +18,14 @@ use tsgemm_net::Comm;
 use tsgemm_pool::{nnz_chunks_range, ThreadPool};
 use tsgemm_sparse::{Csr, Idx};
 
-/// Per-rank statistics of one SDDMM.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SddmmLocalStats {
-    /// Merge-join work performed (entries of both rows touched per dot).
-    pub flops: u64,
-    /// Tile steps executed.
-    pub steps: u64,
-}
-
-impl SddmmLocalStats {
-    /// Lowers into the registry namespace under `phase`.
-    pub fn registry(&self, phase: &str) -> tsgemm_net::MetricsRegistry {
-        let mut m = tsgemm_net::MetricsRegistry::new();
-        m.counter_add(phase, "flops", self.flops);
-        m.gauge_max(phase, "steps", self.steps as f64);
-        m
-    }
-}
-
-impl tsgemm_net::Metrics for SddmmLocalStats {
-    fn merge(&mut self, other: &Self) {
-        let SddmmLocalStats { flops, steps } = *other;
-        self.flops += flops;
-        self.steps = self.steps.max(steps);
-    }
-
-    fn snapshot(&self) -> tsgemm_net::MetricsRegistry {
-        self.registry("sddmm")
+tsgemm_net::stats_struct! {
+    /// Per-rank statistics of one SDDMM.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct SddmmLocalStats {
+        /// Merge-join work performed (entries of both rows touched per dot).
+        pub flops: u64 => sum,
+        /// Tile steps executed.
+        pub steps: u64 => max,
     }
 }
 

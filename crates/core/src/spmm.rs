@@ -29,42 +29,16 @@ use tsgemm_sparse::{DenseMat, Idx};
 /// only mildly because communication dominates at the evaluated scale).
 pub const DENSE_FLOP_DISCOUNT: u64 = 3;
 
-/// Per-rank statistics of one distributed SpMM.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpmmLocalStats {
-    /// Raw multiply-adds performed (undiscounted).
-    pub flops: u64,
-    /// Dense `B` rows this rank shipped to others.
-    pub rows_shipped: u64,
-    /// Tile steps executed.
-    pub steps: u64,
-}
-
-impl SpmmLocalStats {
-    /// Lowers into the registry namespace under `phase`.
-    pub fn registry(&self, phase: &str) -> tsgemm_net::MetricsRegistry {
-        let mut m = tsgemm_net::MetricsRegistry::new();
-        m.counter_add(phase, "flops", self.flops);
-        m.counter_add(phase, "rows_shipped", self.rows_shipped);
-        m.gauge_max(phase, "steps", self.steps as f64);
-        m
-    }
-}
-
-impl tsgemm_net::Metrics for SpmmLocalStats {
-    fn merge(&mut self, other: &Self) {
-        let SpmmLocalStats {
-            flops,
-            rows_shipped,
-            steps,
-        } = *other;
-        self.flops += flops;
-        self.rows_shipped += rows_shipped;
-        self.steps = self.steps.max(steps);
-    }
-
-    fn snapshot(&self) -> tsgemm_net::MetricsRegistry {
-        self.registry("spmm")
+tsgemm_net::stats_struct! {
+    /// Per-rank statistics of one distributed SpMM.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct SpmmLocalStats {
+        /// Raw multiply-adds performed (undiscounted).
+        pub flops: u64 => sum,
+        /// Dense `B` rows this rank shipped to others.
+        pub rows_shipped: u64 => sum,
+        /// Tile steps executed.
+        pub steps: u64 => max,
     }
 }
 

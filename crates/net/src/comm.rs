@@ -34,15 +34,14 @@
 //! the peers parked on them unwind.
 
 use crate::fault::{CommError, FailureInfo, FaultCtx, FaultKind, ParkedPosition};
-use crate::flight::{FlightEventKind, FlightRecorder, FlightTag};
+use crate::flight::{FlightEventKind, FlightRecorder};
 use crate::metrics::MetricsRegistry;
+use crate::rank_log::{lock, RankLog};
 use crate::slab::{Declare, Payload, Slab, Wake};
 use crate::stats::{CollKind, CollectiveRecord, GroupInfo, RankProfile};
-use crate::telemetry::{RankTelemetry, TelEventKind};
 use crate::trace::TraceConfig;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How often a fault-aware barrier wait re-checks the failure board.
@@ -145,7 +144,7 @@ impl GroupShared {
     /// barrier waiters unwind instead of waiting for a rank that panicked.
     pub(crate) fn poison(&self) {
         self.slab.poison();
-        for sub in self.splits.lock().values() {
+        for sub in lock(&self.splits).values() {
             sub.poison();
         }
     }
@@ -157,32 +156,22 @@ pub struct Comm {
     rank: usize,
     seq: u64,
     split_gen: u64,
-    profile: Arc<Mutex<RankProfile>>,
-    /// The rank's metrics registry (shared with sub-communicators); only
-    /// populated when [`Comm::trace_on`] — collectives never touch it.
-    metrics: Arc<Mutex<MetricsRegistry>>,
-    /// Always-on flight recorder (shared with sub-communicators): every
-    /// collective logs a posted/completed event pair into the fixed ring,
-    /// and algorithms add retry/mode/step markers via [`Comm::flight`].
-    flight: Arc<Mutex<FlightRecorder>>,
+    /// The rank's log (shared with sub-communicators and open span guards):
+    /// every runtime event this rank records goes through it once.
+    log: Arc<Mutex<RankLog>>,
     /// Gate for algorithm-level trace instrumentation.
     trace: TraceConfig,
     /// Fault-injection context; `None` outside `World::try_run` (and for
     /// empty fault plans), which keeps every hot path exactly as fast and
     /// as deterministic as an uninstrumented run.
     fault: Option<FaultCtx>,
-    /// Live-telemetry producer handle; `None` unless `TSGEMM_TELEMETRY_ADDR`
-    /// is set, so an untelemetered run pays one branch per event site.
-    telemetry: Option<RankTelemetry>,
 }
 
 impl Comm {
     pub(crate) fn new(
         group: Arc<GroupShared>,
         rank: usize,
-        profile: Arc<Mutex<RankProfile>>,
-        metrics: Arc<Mutex<MetricsRegistry>>,
-        flight: Arc<Mutex<FlightRecorder>>,
+        log: Arc<Mutex<RankLog>>,
         trace: TraceConfig,
     ) -> Self {
         Self {
@@ -190,29 +179,14 @@ impl Comm {
             rank,
             seq: 0,
             split_gen: 0,
-            profile,
-            metrics,
-            flight,
+            log,
             trace,
             fault: None,
-            telemetry: None,
         }
     }
 
     pub(crate) fn set_fault(&mut self, ctx: FaultCtx) {
         self.fault = Some(ctx);
-    }
-
-    pub(crate) fn set_telemetry(&mut self, tel: RankTelemetry) {
-        self.telemetry = Some(tel);
-    }
-
-    /// Forwards an event to the live-telemetry ring, when telemetry is on.
-    #[inline]
-    fn tel(&self, tag: &str, kind: TelEventKind) {
-        if let Some(t) = &self.telemetry {
-            t.emit(tag, kind);
-        }
     }
 
     /// True when this communicator runs under an active fault plan. Callers
@@ -245,19 +219,21 @@ impl Comm {
     /// Credits useful work to the current compute segment (the simulated
     /// equivalent of time spent in OpenMP kernels).
     pub fn add_flops(&self, flops: u64) {
-        self.profile.lock().add_flops(flops);
+        lock(&self.log).profile.add_flops(flops);
     }
 
     /// Notes the compute working set of the kernel whose flops are being
     /// credited (see [`RankProfile::note_working_set`]).
     pub fn note_working_set(&self, bytes: u64) {
-        self.profile.lock().note_working_set(bytes);
+        lock(&self.log).profile.note_working_set(bytes);
     }
 
     /// Read access to this rank's profile so far (e.g. for per-iteration
-    /// statistics inside applications).
+    /// statistics inside applications). Like [`Comm::metrics`] and
+    /// [`Comm::flight`], `f` runs under the rank's log lock, so it must not
+    /// record through a communicator of the same rank.
     pub fn with_profile<R>(&self, f: impl FnOnce(&RankProfile) -> R) -> R {
-        f(&self.profile.lock())
+        f(&lock(&self.log).profile)
     }
 
     /// True when trace instrumentation is enabled for this run. Algorithm
@@ -272,67 +248,67 @@ impl Comm {
     /// created by [`Comm::split`] share the parent's registry, mirroring how
     /// they share the profile.
     pub fn metrics<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
-        f(&mut self.metrics.lock())
+        f(&mut lock(&self.log).metrics)
     }
 
     /// Records a phase span `[started, now]` on this rank's timeline.
     /// Callers obtain `started` from `Instant::now()` before the phase and
     /// should guard the whole pattern behind [`Comm::trace_on`].
     pub fn record_span(&self, tag: impl Into<String>, started: Instant) {
-        self.profile.lock().record_span(tag.into(), started);
+        let tag = tag.into();
+        lock(&self.log).profile.record_span(tag, started);
     }
 
     /// Records a phase span with explicit endpoints, for intervals timed on
     /// worker threads and logged by the rank after the pool join (one
     /// Chrome-trace lane per distinct tag, e.g. `ts:kernel:t3`).
     pub fn record_span_between(&self, tag: impl Into<String>, started: Instant, ended: Instant) {
-        self.profile
-            .lock()
-            .record_span_between(tag.into(), started, ended);
+        let tag = tag.into();
+        lock(&self.log)
+            .profile
+            .record_span_between(tag, started, ended);
     }
 
     /// Opens a drop-guard span: the span is recorded when the guard drops,
     /// so early returns (`?` on a [`CommError`]) and unwinds close it
-    /// instead of leaking an open span out of the trace. The tag closure
-    /// only runs when tracing is on, so a disabled trace pays no
-    /// formatting/allocation cost.
+    /// instead of leaking an open span out of the trace. The span always
+    /// feeds live telemetry's stack and reaches the profile only when
+    /// tracing is on. With both off the tag closure never runs, so the
+    /// span costs no formatting or allocation.
     ///
-    /// The guard holds the profile handle, not `&self`, so `&mut self`
+    /// The guard holds the log handle, not `&self`, so `&mut self`
     /// collectives can run while it is open.
     pub fn span(&self, tag: impl FnOnce() -> String) -> SpanGuard {
-        let trace_on = self.trace.on();
-        if !trace_on && self.telemetry.is_none() {
+        let traced = self.trace.on();
+        if !traced && !lock(&self.log).telemetry_on() {
             return SpanGuard::inactive();
         }
         let tag = tag();
-        // Telemetry tracks the live stack (for the sampling profiler and
-        // per-phase occupancy) even when trace recording is off.
-        let tel = self.telemetry.clone().map(|t| {
-            t.emit(&tag, TelEventKind::SpanPush);
-            (t, FlightTag::new(&tag))
-        });
+        lock(&self.log).span_open(&tag);
         SpanGuard {
-            inner: trace_on.then(|| (Arc::clone(&self.profile), tag, Instant::now())),
-            tel,
+            open: Some(OpenSpan {
+                log: Arc::clone(&self.log),
+                tag,
+                started: Instant::now(),
+                traced,
+            }),
         }
     }
 
-    /// Mutable access to this rank's flight recorder, for algorithm-level
-    /// events (retries, mode decisions, step markers). Sub-communicators
-    /// share the parent's recorder. Always available — the recorder is on
-    /// even when tracing is off.
-    pub fn flight<R>(&self, f: impl FnOnce(&mut FlightRecorder) -> R) -> R {
-        f(&mut self.flight.lock())
+    /// Read access to this rank's flight recorder. Sub-communicators share
+    /// the parent's recorder. Always available — the recorder is on even
+    /// when tracing is off. Events are recorded through
+    /// [`Comm::flight_record`].
+    pub fn flight<R>(&self, f: impl FnOnce(&FlightRecorder) -> R) -> R {
+        f(&lock(&self.log).flight)
     }
 
-    /// Records an algorithm-level event into the flight ring *and* forwards
-    /// it to live telemetry when that is on. Event sites (retries, mode
-    /// decisions, step markers) should prefer this over [`Comm::flight`] so
-    /// the live view and the postmortem ring never disagree.
+    /// Records an algorithm-level event (retry, mode decision, step marker)
+    /// into the flight ring and forwards it to live telemetry when that is
+    /// on, so the live view and the postmortem ring never disagree.
     #[inline]
     pub fn flight_record(&self, tag: &str, kind: FlightEventKind) {
-        self.flight.lock().record(tag, kind);
-        self.tel(tag, TelEventKind::Flight(kind));
+        lock(&self.log).event(tag, kind);
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -346,16 +322,16 @@ impl Comm {
     /// sequence number or sending anything, so an immediate retry re-enters
     /// in lock-step with the group.
     fn fault_entry(&mut self, kind: CollKind, tag: &str) -> Result<EntryFx, CommError> {
-        // Flight-record the posting *before* consulting the fault plan, so
-        // a crashed rank's ring ends with exactly the collective (seq, kind,
-        // tag) that killed it. Telemetry sees the same event in the same
-        // order, so a crashed rank's live snapshot agrees with its ring.
-        let posted = FlightEventKind::CollPosted {
-            seq: self.seq,
-            kind,
-        };
-        self.flight.lock().record(tag, posted);
-        self.tel(tag, TelEventKind::Flight(posted));
+        // Record the posting *before* consulting the fault plan, so a
+        // crashed rank's flight ring and live snapshot both end with exactly
+        // the collective (seq, kind, tag) that killed it.
+        self.flight_record(
+            tag,
+            FlightEventKind::CollPosted {
+                seq: self.seq,
+                kind,
+            },
+        );
         let Some(ctx) = &self.fault else {
             return Ok(EntryFx::clean());
         };
@@ -589,30 +565,6 @@ impl Comm {
         injected_delay_secs: f64,
         entered: Instant,
     ) {
-        // `record` runs after `next_seq`, so the completed collective's
-        // sequence number is the previous one.
-        let done = FlightEventKind::CollDone {
-            seq: self.seq.wrapping_sub(1),
-            kind,
-            sent: bytes_to.iter().map(|&(_, b)| b).sum(),
-            recv: bytes_received,
-        };
-        self.flight.lock().record(&tag, done);
-        if self.telemetry.is_some() {
-            self.tel(&tag, TelEventKind::Flight(done));
-            // One matrix edge per destination; `bytes_to` is already keyed
-            // by world rank, which is what the rank×rank matrix indexes.
-            for &(dst, bytes) in &bytes_to {
-                self.tel(
-                    &tag,
-                    TelEventKind::Edge {
-                        dst: dst as u32,
-                        kind,
-                        bytes,
-                    },
-                );
-            }
-        }
         let rec = CollectiveRecord {
             kind,
             tag,
@@ -625,7 +577,9 @@ impl Comm {
             injected_delay_secs,
             entered_secs: 0.0, // set by end_segment from the profile epoch
         };
-        self.profile.lock().end_segment(rec, entered);
+        // `record` runs after `next_seq`, so the completed collective's
+        // sequence number is the previous one.
+        lock(&self.log).coll_done(self.seq.wrapping_sub(1), rec, entered);
     }
 
     /// Personalised all-to-all: `sends[j]` goes to group rank `j`; returns
@@ -1084,7 +1038,7 @@ impl Comm {
             .collect();
 
         let shared = {
-            let mut splits = self.group.splits.lock();
+            let mut splits = lock(&self.group.splits);
             let sub = splits
                 .entry((gen, color))
                 .or_insert_with(|| GroupShared::new(world_ranks));
@@ -1095,22 +1049,18 @@ impl Comm {
             }
             Arc::clone(sub)
         };
-        let mut sub = Comm::new(
-            shared,
-            my_new_rank,
-            Arc::clone(&self.profile),
-            Arc::clone(&self.metrics),
-            Arc::clone(&self.flight),
-            self.trace,
-        );
-        // A rank's splits share its fault context: the collective counter
-        // keeps running across communicators, so "crash at collective #k"
-        // means the k-th collective the rank enters anywhere.
-        sub.fault = self.fault.clone();
-        // Splits also share the telemetry ring — all of a rank's
-        // communicators live on one thread, preserving single-producer.
-        sub.telemetry = self.telemetry.clone();
-        sub
+        Comm {
+            group: shared,
+            rank: my_new_rank,
+            seq: 0,
+            split_gen: 0,
+            log: Arc::clone(&self.log),
+            trace: self.trace,
+            // A rank's splits share its fault context: the collective counter
+            // keeps running across communicators, so "crash at collective #k"
+            // means the k-th collective the rank enters anywhere.
+            fault: self.fault.clone(),
+        }
     }
 }
 
@@ -1120,25 +1070,27 @@ impl Comm {
 /// scope; `let _ = comm.span(...)` drops — and records — immediately.
 #[must_use = "the span closes when the guard drops; bind it to a named variable"]
 pub struct SpanGuard {
-    inner: Option<(Arc<Mutex<RankProfile>>, String, Instant)>,
-    /// Telemetry half: pops the live span stack on drop (pushed in
-    /// [`Comm::span`]), independent of whether trace recording is on.
-    tel: Option<(RankTelemetry, FlightTag)>,
+    open: Option<OpenSpan>,
+}
+
+/// What an active [`SpanGuard`] hands back to the rank's log on drop.
+struct OpenSpan {
+    log: Arc<Mutex<RankLog>>,
+    tag: String,
+    started: Instant,
+    traced: bool,
 }
 
 impl SpanGuard {
     /// A guard that records nothing (what [`Comm::span`] returns with
-    /// tracing off).
+    /// tracing and telemetry off).
     pub fn inactive() -> Self {
-        Self {
-            inner: None,
-            tel: None,
-        }
+        Self { open: None }
     }
 
     /// True when dropping this guard will record a span.
     pub fn is_active(&self) -> bool {
-        self.inner.is_some() || self.tel.is_some()
+        self.open.is_some()
     }
 
     /// Closes the span now (equivalent to dropping the guard).
@@ -1147,11 +1099,8 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some((profile, tag, started)) = self.inner.take() {
-            profile.lock().record_span(tag, started);
-        }
-        if let Some((tel, tag)) = self.tel.take() {
-            tel.emit_tag(tag, TelEventKind::SpanPop);
+        if let Some(s) = self.open.take() {
+            lock(&s.log).span_close(s.tag, s.started, s.traced);
         }
     }
 }

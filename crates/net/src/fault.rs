@@ -21,12 +21,12 @@
 //! hot path byte-identical to a run without the injector (no extra stats
 //! fields set, no polling barrier waits).
 
+use crate::rank_log::lock;
 use crate::stats::CollKind;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Error taxonomy
@@ -407,33 +407,33 @@ impl FailureBoard {
 
     /// Records that `world_rank` failed; first cause wins.
     pub fn mark_failed(&self, info: FailureInfo) {
-        self.failed.lock().entry(info.world_rank).or_insert(info);
+        lock(&self.failed).entry(info.world_rank).or_insert(info);
     }
 
     /// Records that `world_rank` returned from its rank function normally.
     pub fn mark_done(&self, world_rank: usize) {
-        self.done.lock().insert(world_rank, ());
+        lock(&self.done).insert(world_rank, ());
     }
 
     pub fn failure_of(&self, world_rank: usize) -> Option<FailureInfo> {
-        self.failed.lock().get(&world_rank).cloned()
+        lock(&self.failed).get(&world_rank).cloned()
     }
 
     pub fn is_done(&self, world_rank: usize) -> bool {
-        self.done.lock().contains_key(&world_rank)
+        lock(&self.done).contains_key(&world_rank)
     }
 
     pub fn any_failed(&self) -> bool {
-        !self.failed.lock().is_empty()
+        !lock(&self.failed).is_empty()
     }
 
     /// Notes where `world_rank` is currently blocked (overwrites).
     pub fn set_parked(&self, world_rank: usize, at: ParkedPosition) {
-        self.parked.lock().insert(world_rank, at);
+        lock(&self.parked).insert(world_rank, at);
     }
 
     pub fn parked_of(&self, world_rank: usize) -> Option<ParkedPosition> {
-        self.parked.lock().get(&world_rank).cloned()
+        lock(&self.parked).get(&world_rank).cloned()
     }
 }
 
@@ -466,7 +466,7 @@ impl FaultCtx {
     /// collective being entered plus the fault scheduled for it, if any.
     pub(crate) fn enter_collective(&self, tag: &str) -> (u64, Option<FaultKind>) {
         let op = self.op_counter.fetch_add(1, Ordering::Relaxed);
-        let mut fired = self.fired.lock();
+        let mut fired = lock(&self.fired);
         for (i, fault) in self.plan.faults.iter().enumerate() {
             if fault.rank != self.world_rank {
                 continue;

@@ -36,6 +36,7 @@ pub mod fault;
 pub mod flight;
 mod futex;
 pub mod metrics;
+mod rank_log;
 mod slab;
 pub mod stats;
 pub mod telemetry;

@@ -168,21 +168,114 @@ impl MetricValue {
     }
 }
 
-/// The common shape of every stats producer: merge across ranks, snapshot
-/// into the registry form, render to JSON.
+/// The common shape of every stats producer: merge across ranks.
 pub trait Metrics {
     /// Element-wise aggregation with another rank's (or step's) stats.
     /// Implementations must be total over every field — associative and
     /// commutative merges are what make fold order irrelevant.
     fn merge(&mut self, other: &Self);
+}
 
-    /// Lowers into the canonical `(phase, metric)` registry form.
-    fn snapshot(&self) -> MetricsRegistry;
+/// A stats field that a `max` law lowers to a gauge (see
+/// [`crate::stats_struct!`]).
+pub trait Gauge: Copy {
+    fn gauge(self) -> f64;
+}
 
-    /// JSON rendering of [`Metrics::snapshot`] (one object per phase).
-    fn to_json(&self) -> String {
-        self.snapshot().render_json()
+impl Gauge for u64 {
+    fn gauge(self) -> f64 {
+        self as f64
     }
+}
+
+impl Gauge for bool {
+    fn gauge(self) -> f64 {
+        u64::from(self) as f64
+    }
+}
+
+/// Declares a stats struct from one field table: each field is listed once,
+/// with the law that both its cross-rank merge and its registry lowering
+/// follow.
+///
+/// * `sum` — merge adds; lowered as a counter (`u64` fields);
+/// * `max` — merge keeps the larger (for a `bool`, `or`); lowered as a
+///   gauge;
+/// * `key("x")` — merge keeps the larger; not lowered as a metric, but
+///   names the phase: `registry(phase)` records under `{phase}:x{key}`.
+///
+/// The macro emits the struct, `registry(&self, phase) -> MetricsRegistry`
+/// and `impl Metrics { merge }`. A field without a law, or with an unknown
+/// one, does not compile:
+///
+/// ```compile_fail
+/// tsgemm_net::stats_struct! {
+///     pub struct NoLaw {
+///         pub flops: u64,
+///     }
+/// }
+/// ```
+///
+/// ```
+/// tsgemm_net::stats_struct! {
+///     #[derive(Clone, Copy, Debug, Default)]
+///     pub struct StepStats {
+///         pub iter: usize => key("i"),
+///         pub flops: u64 => sum,
+///         pub steps: u64 => max,
+///     }
+/// }
+/// let s = StepStats { iter: 2, flops: 5, steps: 3 };
+/// assert_eq!(s.registry("run").counter("run:i2", "flops"), 5);
+/// ```
+#[macro_export]
+macro_rules! stats_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $fvis:vis $field:ident : $ty:ty => $law:ident $(($prefix:literal))?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $ty, )*
+        }
+
+        impl $name {
+            /// Lowers into the registry namespace under `phase`: `sum`
+            /// fields become counters and `max` fields gauges, so registry
+            /// merges agree with the struct's `merge`.
+            pub fn registry(&self, phase: &str) -> $crate::MetricsRegistry {
+                let phase = phase.to_string();
+                $( let phase = $crate::stats_struct!(@phase phase, self.$field, $law $(($prefix))?); )*
+                let mut m = $crate::MetricsRegistry::new();
+                $( $crate::stats_struct!(@lower m, &phase, self.$field, $field, $law); )*
+                m
+            }
+        }
+
+        impl $crate::Metrics for $name {
+            fn merge(&mut self, other: &Self) {
+                $( $crate::stats_struct!(@merge self.$field, other.$field, $law); )*
+            }
+        }
+    };
+    (@phase $phase:ident, $v:expr, key($prefix:literal)) => { ::std::format!("{}:{}{}", $phase, $prefix, $v) };
+    (@phase $phase:ident, $v:expr, sum) => { $phase };
+    (@phase $phase:ident, $v:expr, max) => { $phase };
+    (@lower $m:ident, $phase:expr, $v:expr, $field:ident, sum) => {
+        $m.counter_add($phase, stringify!($field), $v)
+    };
+    (@lower $m:ident, $phase:expr, $v:expr, $field:ident, max) => {
+        $m.gauge_max($phase, stringify!($field), $crate::metrics::Gauge::gauge($v))
+    };
+    (@lower $m:ident, $phase:expr, $v:expr, $field:ident, key) => {};
+    (@merge $mine:expr, $theirs:expr, sum) => { $mine += $theirs };
+    (@merge $mine:expr, $theirs:expr, max) => { $mine = ::std::cmp::Ord::max($mine, $theirs) };
+    (@merge $mine:expr, $theirs:expr, key) => { $mine = ::std::cmp::Ord::max($mine, $theirs) };
 }
 
 /// Typed metrics keyed by `(phase_tag, metric_name)`.
@@ -395,10 +488,6 @@ impl Metrics for MetricsRegistry {
             }
         }
     }
-
-    fn snapshot(&self) -> MetricsRegistry {
-        self.clone()
-    }
 }
 
 /// Escapes `s` as a JSON string literal (quotes included).
@@ -436,6 +525,50 @@ pub(crate) fn json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    crate::stats_struct! {
+        #[derive(Clone, Copy, Debug, Default, PartialEq)]
+        struct LawStats {
+            epoch: usize => key("e"),
+            bytes: u64 => sum,
+            peak: u64 => max,
+            switched: bool => max,
+        }
+    }
+
+    #[test]
+    fn stats_struct_lowering_commutes_with_merge() {
+        let mut z = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            z ^= z << 13;
+            z ^= z >> 7;
+            z ^= z << 17;
+            z % bound
+        };
+        for _ in 0..500 {
+            let epoch = next(4) as usize;
+            let mut stats = || LawStats {
+                epoch,
+                bytes: next(1 << 40),
+                peak: next(1 << 40),
+                switched: next(2) == 1,
+            };
+            let (a, b) = (stats(), stats());
+            let mut ab = a;
+            ab.merge(&b);
+            assert_eq!(ab.bytes, a.bytes + b.bytes);
+            assert_eq!(ab.peak, a.peak.max(b.peak));
+            assert_eq!(ab.switched, a.switched || b.switched);
+            let mut lowered = a.registry("law");
+            lowered.merge(&b.registry("law"));
+            assert_eq!(ab.registry("law"), lowered, "{a:?} ⊕ {b:?}");
+            let phase = format!("law:e{epoch}");
+            assert_eq!(lowered.counter(&phase, "bytes"), ab.bytes);
+            assert_eq!(lowered.gauge(&phase, "peak"), ab.peak as f64);
+            assert_eq!(lowered.gauge(&phase, "switched"), f64::from(ab.switched));
+            assert_eq!(lowered.len(), 3, "the key field is not a metric");
+        }
+    }
 
     #[test]
     fn counters_sum_on_merge() {

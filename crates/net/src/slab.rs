@@ -30,10 +30,11 @@
 //! waiter report [`Wake::Poisoned`].
 
 use crate::futex;
+use crate::rank_log::lock;
 use crate::stats::CollKind;
-use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// A type-erased posted payload.
@@ -152,7 +153,7 @@ impl Slab {
         let slot = self.slot(seq, rank);
         let payload = fill(&Declare(&slot.lens)).filter(|_| readers > 0);
         let stale = {
-            let mut posting = slot.posting.lock();
+            let mut posting = lock(&slot.posting);
             posting.readers = readers;
             std::mem::replace(&mut posting.payload, payload)
         };
@@ -190,7 +191,7 @@ impl Slab {
         src: usize,
         f: impl FnOnce(&mut Option<Payload>, bool) -> R,
     ) -> R {
-        let mut guard = self.slot(seq, src).posting.lock();
+        let mut guard = lock(&self.slot(seq, src).posting);
         let posting = &mut *guard;
         posting.readers = posting.readers.saturating_sub(1);
         let last = posting.readers == 0;

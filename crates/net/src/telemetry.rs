@@ -43,15 +43,15 @@
 use crate::alloc;
 use crate::flight::{FlightEventKind, FlightTag};
 use crate::metrics::{json_f64, json_string};
+use crate::rank_log::lock;
 use crate::stats::CollKind;
-use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::mem::MaybeUninit;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Environment variable that switches telemetry on and names the bind
@@ -196,16 +196,9 @@ impl RankTelemetry {
     /// Emits one event (non-blocking; drops on overflow).
     #[inline]
     pub fn emit(&self, tag: &str, kind: TelEventKind) {
-        self.emit_tag(FlightTag::new(tag), kind);
-    }
-
-    /// [`RankTelemetry::emit`] with a pre-built tag (for drop paths that
-    /// must not allocate or re-encode).
-    #[inline]
-    pub fn emit_tag(&self, tag: FlightTag, kind: TelEventKind) {
         self.ring.push(TelEvent {
             rank: self.rank,
-            tag,
+            tag: FlightTag::new(tag),
             kind,
         });
     }
@@ -940,7 +933,7 @@ impl Telemetry {
     /// one fresh producer ring per rank. Handles from earlier runs keep
     /// working (their ring is simply no longer drained) but feed nothing.
     pub fn begin_run(&self, p: usize) -> Vec<RankTelemetry> {
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         let run_id = st.run_id + 1;
         *st = AggState::new();
         st.p = p;
@@ -966,7 +959,7 @@ impl Telemetry {
     /// [`Telemetry::begin_run`].
     pub fn end_run(&self) -> TelemetrySnapshot {
         self.sync();
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         st.running = false;
         st.snapshot()
     }
@@ -986,14 +979,14 @@ impl Telemetry {
 
     /// A point-in-time view of the aggregate state.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.shared.state.lock().snapshot()
+        lock(&self.shared.state).snapshot()
     }
 }
 
 fn aggregator_loop(shared: &Shared) {
     loop {
         {
-            let mut st = shared.state.lock();
+            let mut st = lock(&shared.state);
             // Drain all rings, then take one sample tick. Bounded per ring
             // per pass so a pathological producer cannot starve sampling.
             let rings: Vec<Arc<EventRing>> = st.rings.clone();
@@ -1051,7 +1044,7 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
     let path = parts.next().unwrap_or("/");
     let path = path.split('?').next().unwrap_or("/");
 
-    let snap = shared.state.lock().snapshot();
+    let snap = lock(&shared.state).snapshot();
     let (status, ctype, body) = if method != "GET" {
         (
             "405 Method Not Allowed",

@@ -6,10 +6,12 @@ use crate::fault::{
 };
 use crate::flight::FlightRecorder;
 use crate::metrics::MetricsRegistry;
+use crate::rank_log::{lock, RankLog};
 use crate::stats::RankProfile;
 use crate::trace::TraceConfig;
-use parking_lot::Mutex;
-use std::sync::{Arc, OnceLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::Result as RankOutcome;
 
 /// Result of a distributed run: the per-rank return values plus the per-rank
 /// execution profiles (compute segments and communication records).
@@ -79,22 +81,17 @@ fn panic_cause(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn unwrap_arcs<T>(arcs: Vec<Arc<Mutex<T>>>, clone_out: impl Fn(&T) -> T) -> Vec<T> {
-    arcs.into_iter()
-        .map(|arc| {
-            Arc::try_unwrap(arc)
-                .map(|m| m.into_inner())
-                .unwrap_or_else(|arc| {
-                    // A sub-communicator kept a clone alive past the rank
-                    // function; copy the data out instead.
-                    clone_out(&arc.lock())
-                })
-        })
-        .collect()
-}
-
 /// How many flight-recorder events a failed rank's [`HangEntry`] embeds.
 const HANG_TAIL_EVENTS: usize = 8;
+
+/// What one launch of `p` ranks leaves behind, in rank order.
+struct Launched<R> {
+    /// Each rank's return value, or its panic payload.
+    outcomes: Vec<RankOutcome<R>>,
+    profiles: Vec<RankProfile>,
+    metrics: Vec<MetricsRegistry>,
+    flights: Vec<FlightRecorder>,
+}
 
 /// Entry point to the simulated cluster.
 pub struct World;
@@ -137,83 +134,36 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
-        assert!(p > 0, "need at least one rank");
-        let group = GroupShared::new((0..p).collect());
-        let profiles: Vec<Arc<Mutex<RankProfile>>> = (0..p)
-            .map(|r| Arc::new(Mutex::new(RankProfile::new(r))))
-            .collect();
-        let metrics: Vec<Arc<Mutex<MetricsRegistry>>> = (0..p)
-            .map(|_| Arc::new(Mutex::new(MetricsRegistry::new())))
-            .collect();
-        let flights: Vec<Arc<Mutex<FlightRecorder>>> = (0..p)
-            .map(|r| Arc::new(Mutex::new(FlightRecorder::new(r))))
-            .collect();
-        let telemetry = crate::telemetry::global();
-        let mut rank_tels: Vec<Option<crate::telemetry::RankTelemetry>> = telemetry
-            .map(|t| t.begin_run(p).into_iter().map(Some).collect())
-            .unwrap_or_default();
-
         // The rank whose panic aborted the run, when one did.
         let first_panic = OnceLock::new();
-        let mut outcomes: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..p)
-                .map(|rank| {
-                    let group = Arc::clone(&group);
-                    let profile = Arc::clone(&profiles[rank]);
-                    let registry = Arc::clone(&metrics[rank]);
-                    let flight = Arc::clone(&flights[rank]);
-                    let tel = rank_tels.get_mut(rank).and_then(Option::take);
-                    let f = &f;
-                    let first_panic = &first_panic;
-                    scope.spawn(move || {
-                        let mut comm = Comm::new(
-                            Arc::clone(&group),
-                            rank,
-                            Arc::clone(&profile),
-                            registry,
-                            flight,
-                            trace,
-                        );
-                        if let Some(t) = tel {
-                            comm.set_telemetry(t);
-                        }
-                        let out =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-                        match &out {
-                            Ok(_) => profile.lock().finish(),
-                            Err(_) => {
-                                // Fail fast, like an MPI abort: peers parked
-                                // in any group unwind instead of waiting.
-                                let _ = first_panic.set(rank);
-                                group.poison();
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(Err))
-                .collect()
-        });
+        let Launched {
+            mut outcomes,
+            profiles,
+            metrics,
+            flights,
+        } = Self::launch(
+            p,
+            trace,
+            f,
+            |_| {},
+            |rank, out, group| {
+                if out.is_err() {
+                    // Fail fast, like an MPI abort: peers parked in any
+                    // group unwind instead of waiting.
+                    let _ = first_panic.set(rank);
+                    group.poison();
+                }
+            },
+        );
         if let Some(&rank) = first_panic.get() {
             if let Err(payload) = outcomes.swap_remove(rank) {
-                std::panic::resume_unwind(payload);
+                resume_unwind(payload);
             }
         }
-        let results: Vec<R> = outcomes
+        let results = outcomes
             .into_iter()
-            .map(|o| o.unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .map(|o| o.unwrap_or_else(|e| resume_unwind(e)))
             .collect();
-
-        if let Some(t) = telemetry {
-            // Seal the run: the endpoint keeps serving this final state.
-            let _ = t.end_run();
-        }
-        let profiles = unwrap_arcs(profiles, |p| p.snapshot());
-        let metrics = unwrap_arcs(metrics, |m| m.clone());
-        let flights = unwrap_arcs(flights, |fl| fl.clone());
         RunOutput {
             results,
             profiles,
@@ -255,96 +205,42 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
-        assert!(p > 0, "need at least one rank");
-        let group = GroupShared::new((0..p).collect());
-        let profiles: Vec<Arc<Mutex<RankProfile>>> = (0..p)
-            .map(|r| Arc::new(Mutex::new(RankProfile::new(r))))
-            .collect();
-        let metrics: Vec<Arc<Mutex<MetricsRegistry>>> = (0..p)
-            .map(|_| Arc::new(Mutex::new(MetricsRegistry::new())))
-            .collect();
-        let flights: Vec<Arc<Mutex<FlightRecorder>>> = (0..p)
-            .map(|r| Arc::new(Mutex::new(FlightRecorder::new(r))))
-            .collect();
         let inject = !plan.is_empty();
         let plan = Arc::new(plan.clone());
         let board = FailureBoard::new();
-        let telemetry = crate::telemetry::global();
-        let mut rank_tels: Vec<Option<crate::telemetry::RankTelemetry>> = telemetry
-            .map(|t| t.begin_run(p).into_iter().map(Some).collect())
-            .unwrap_or_default();
-
-        let outcomes: Vec<Result<R, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..p)
-                .map(|rank| {
-                    let group = Arc::clone(&group);
-                    let profile = Arc::clone(&profiles[rank]);
-                    let registry = Arc::clone(&metrics[rank]);
-                    let flight = Arc::clone(&flights[rank]);
-                    let plan = Arc::clone(&plan);
-                    let board = Arc::clone(&board);
-                    let tel = rank_tels.get_mut(rank).and_then(Option::take);
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut comm =
-                            Comm::new(group, rank, Arc::clone(&profile), registry, flight, trace);
-                        if let Some(t) = tel {
-                            comm.set_telemetry(t);
-                        }
-                        if inject {
-                            comm.set_fault(FaultCtx::new(plan, Arc::clone(&board), rank));
-                        }
-                        let out =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-                        profile.lock().finish();
-                        match out {
-                            Ok(r) => {
-                                if inject {
-                                    board.mark_done(rank);
-                                }
-                                Ok(r)
-                            }
-                            Err(payload) => {
-                                let cause = panic_cause(payload.as_ref());
-                                if inject {
-                                    // Injected crashes already marked the board
-                                    // (first cause wins); this covers user panics.
-                                    board.mark_failed(FailureInfo {
-                                        world_rank: rank,
-                                        parked: board.parked_of(rank),
-                                        cause: cause.clone(),
-                                    });
-                                }
-                                Err(cause)
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    // Only reachable if profile bookkeeping itself panicked.
-                    Err(e) => Err(panic_cause(e.as_ref())),
-                })
-                .collect()
-        });
-
-        if let Some(t) = telemetry {
-            // Seal even a partly-failed run: crashed ranks' rings were
-            // drained up to the collective that killed them.
-            let _ = t.end_run();
-        }
-        let profiles: Vec<RankProfile> = unwrap_arcs(profiles, |p| p.snapshot());
-        let metrics: Vec<MetricsRegistry> = unwrap_arcs(metrics, |m| m.clone());
-        let flights: Vec<FlightRecorder> = unwrap_arcs(flights, |fl| fl.clone());
+        let Launched {
+            outcomes,
+            profiles,
+            metrics,
+            flights,
+        } = Self::launch(
+            p,
+            trace,
+            f,
+            |comm| {
+                if inject {
+                    let ctx = FaultCtx::new(Arc::clone(&plan), Arc::clone(&board), comm.rank());
+                    comm.set_fault(ctx);
+                }
+            },
+            |rank, out, _| match out {
+                Ok(_) if inject => board.mark_done(rank),
+                // Injected crashes already marked the board (first cause
+                // wins); this covers user panics.
+                Err(payload) if inject => board.mark_failed(FailureInfo {
+                    world_rank: rank,
+                    parked: board.parked_of(rank),
+                    cause: panic_cause(payload.as_ref()),
+                }),
+                _ => {}
+            },
+        );
 
         let results: Vec<Result<R, RankFailure>> = outcomes
             .into_iter()
             .enumerate()
             .map(|(rank, out)| {
-                out.map_err(|cause| match board.failure_of(rank) {
+                out.map_err(|payload| match board.failure_of(rank) {
                     Some(info) => RankFailure {
                         world_rank: rank,
                         parked: info.parked,
@@ -353,7 +249,7 @@ impl World {
                     None => RankFailure {
                         world_rank: rank,
                         parked: None,
-                        cause,
+                        cause: panic_cause(payload.as_ref()),
                     },
                 })
             })
@@ -391,6 +287,79 @@ impl World {
             flights,
             hang_report,
         }
+    }
+
+    /// Runs `f` on `p` rank threads over one world group. `enter` prepares
+    /// each rank's communicator before `f` runs; `exit` sees each rank's
+    /// outcome on the rank thread, before the rank's trailing segment is
+    /// closed. Every rank is joined and the telemetry run is sealed before
+    /// this returns, so a caller that re-raises a rank's panic leaves the
+    /// endpoint reporting a finished run.
+    fn launch<R, F>(
+        p: usize,
+        trace: TraceConfig,
+        f: F,
+        enter: impl Fn(&mut Comm) + Sync,
+        exit: impl Fn(usize, &RankOutcome<R>, &GroupShared) + Sync,
+    ) -> Launched<R>
+    where
+        R: Send,
+        F: Fn(&mut Comm) -> R + Send + Sync,
+    {
+        assert!(p > 0, "need at least one rank");
+        let group = GroupShared::new((0..p).collect());
+        let telemetry = crate::telemetry::global();
+        let mut tels = telemetry
+            .map(|t| t.begin_run(p))
+            .unwrap_or_default()
+            .into_iter();
+        let logs: Vec<Arc<Mutex<RankLog>>> = (0..p)
+            .map(|rank| Arc::new(Mutex::new(RankLog::new(rank, tels.next()))))
+            .collect();
+
+        let outcomes: Vec<RankOutcome<R>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = logs
+                .iter()
+                .enumerate()
+                .map(|(rank, log)| {
+                    let (group, f, enter, exit) = (&group, &f, &enter, &exit);
+                    scope.spawn(move || {
+                        let mut comm = Comm::new(Arc::clone(group), rank, Arc::clone(log), trace);
+                        enter(&mut comm);
+                        let out = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
+                        exit(rank, &out, group);
+                        lock(log).profile.finish();
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                // A join error is only reachable if the bookkeeping above
+                // panicked; it is reported like a rank panic.
+                .map(|h| h.join().unwrap_or_else(Err))
+                .collect()
+        });
+
+        if let Some(t) = telemetry {
+            // Seal the run, failed or not: the endpoint keeps serving this
+            // final state, and a crashed rank's ring was drained up to the
+            // collective that killed it.
+            let _ = t.end_run();
+        }
+        let mut launched = Launched {
+            outcomes,
+            profiles: Vec::with_capacity(p),
+            metrics: Vec::with_capacity(p),
+            flights: Vec::with_capacity(p),
+        };
+        for log in logs {
+            let (profile, metrics, flight) = RankLog::into_parts(log);
+            launched.profiles.push(profile);
+            launched.metrics.push(metrics);
+            launched.flights.push(flight);
+        }
+        launched
     }
 }
 

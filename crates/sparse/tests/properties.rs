@@ -70,11 +70,12 @@ proptest! {
         let cb = b.to_csr::<PlusTimesF64>();
         let c = spgemm::<PlusTimesF64>(&ca, &cb, AccumChoice::Auto);
         let dc = dense_ref_mm(&ca, &cb);
-        for r in 0..ca.nrows() {
-            for j in 0..cb.ncols() {
+        // `dc` is `ca.nrows() x cb.ncols()`, so this visits every cell.
+        for (r, row) in dc.iter().enumerate() {
+            for (j, &want) in row.iter().enumerate() {
                 let got = c.get(r, j as Idx).unwrap_or(0.0);
-                prop_assert!((got - dc[r][j]).abs() < 1e-9,
-                    "mismatch at ({}, {}): {} vs {}", r, j, got, dc[r][j]);
+                prop_assert!((got - want).abs() < 1e-9,
+                    "mismatch at ({}, {}): {} vs {}", r, j, got, want);
             }
         }
     }

@@ -2,22 +2,16 @@
 # Fails if a change moves any figure CSV.
 #
 # Exports BASE and HEAD with `git archive`, builds the figure harnesses of
-# each, runs fig05, fig09, fig11 and fig12 at TSGEMM_SCALE=10 TSGEMM_P=16
-# (each commit in its own empty working directory, since the harnesses
-# write results/ relative to the cwd) and diffs the CSVs byte for byte.
-#
-# fig13 is left out for now. `linkpred::split_edges` used to return the
-# held-out edges in `HashSet` iteration order, so each run paired them with
-# different sampled non-edges and the AUC column moved from run to run on
-# one commit. The list is sorted now, so fig13 is reproducible on a commit
-# that has that fix; add it to FIGS once BASE has it too, since a BASE
-# without it still differs from itself.
+# each, runs fig05, fig09, fig11, fig12 and fig13 at TSGEMM_SCALE=10
+# TSGEMM_P=16 (each commit in its own empty working directory, since the
+# harnesses write results/ relative to the cwd) and diffs the CSVs byte for
+# byte.
 #
 # Usage: scripts/figures_identity.sh [BASE [HEAD]]
 #   BASE defaults to the merge-base of HEAD and origin/main (else main).
 set -euo pipefail
 
-FIGS=(fig05_tile_width fig09_strong_scaling fig11_comm_scaling fig12_msbfs)
+FIGS=(fig05_tile_width fig09_strong_scaling fig11_comm_scaling fig12_msbfs fig13_embedding)
 head_ref=${2:-HEAD}
 base_ref=${1:-$(git merge-base "$head_ref" origin/main 2>/dev/null ||
     git merge-base "$head_ref" main)}

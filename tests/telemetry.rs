@@ -250,3 +250,104 @@ fn crashed_rank_final_phase_matches_flight_ring_tail() {
     // The dead rank entered the collective but never completed it.
     assert_eq!(snap.ranks[crash_rank].queue_depth(), 1);
 }
+
+#[test]
+fn panicking_world_run_seals_telemetry() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let t = tel();
+    let run = std::panic::catch_unwind(|| {
+        World::run(4, |comm| {
+            if comm.rank() == 2 {
+                panic!("rank 2 fails on purpose");
+            }
+            comm.allreduce(1u64, |a, b| a + b, "test:never")
+        })
+    });
+    assert!(run.is_err(), "the rank panic must propagate");
+
+    assert!(
+        !t.snapshot().running,
+        "a World::run that re-raised a rank panic left its run open"
+    );
+    let body = top::http_get(&t.addr().to_string(), "/metrics").expect("scrape /metrics");
+    assert!(body.contains("tsgemm_run_active 0"), "{body}");
+}
+
+#[test]
+fn live_counters_equal_flight_ring_counts_under_a_retry() {
+    use tsgemm::net::FlightEventKind;
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let t = tel();
+    let (n, d, p) = (96, 8, 4);
+    let acoo = erdos_renyi(n, 6.0, 0xE5);
+    let bcoo = random_tall(n, d, 0.4, 0xC0DE);
+    let plan = FaultPlan::none().transient_at_tag(1, "ts:bfetch", 1);
+    let out = World::try_run_traced(p, &plan, TraceConfig::enabled(), |comm| {
+        let dist = BlockDist::new(n, p);
+        let a = DistCsr::from_global_coo::<PlusTimesF64>(&acoo, dist, comm.rank(), n);
+        let ac = ColBlocks::build::<PlusTimesF64>(comm, &a);
+        let b = DistCsr::from_global_coo::<PlusTimesF64>(&bcoo, dist, comm.rank(), d);
+        ts_spgemm::<PlusTimesF64>(comm, &a, &ac, &b, &TsConfig::default()).1
+    });
+    assert!(
+        out.all_ok(),
+        "one transient fault must be absorbed by a retry"
+    );
+    let snap = t.snapshot();
+    assert_eq!(snap.dropped_events, 0);
+
+    let mut retries = 0;
+    for (rank, flight) in out.flights.iter().enumerate() {
+        assert!(
+            flight.total_recorded() <= flight.capacity() as u64,
+            "rank {rank}: the flight ring wrapped, so its counts are partial"
+        );
+        let count = |pick: fn(&FlightEventKind) -> bool| -> u64 {
+            flight.in_order().filter(|e| pick(&e.kind)).count() as u64
+        };
+        let live = &snap.ranks[rank];
+        let pairs = [
+            (
+                "posted",
+                live.posted,
+                count(|k| matches!(k, FlightEventKind::CollPosted { .. })),
+            ),
+            (
+                "done",
+                live.done,
+                count(|k| matches!(k, FlightEventKind::CollDone { .. })),
+            ),
+            (
+                "retries",
+                live.retries,
+                count(|k| matches!(k, FlightEventKind::Retry { .. })),
+            ),
+            (
+                "steps_started",
+                live.steps_started,
+                count(|k| matches!(k, FlightEventKind::StepStart { .. })),
+            ),
+            (
+                "steps_done",
+                live.steps_done,
+                count(|k| matches!(k, FlightEventKind::StepEnd { .. })),
+            ),
+            (
+                "modes_local",
+                live.modes_local,
+                count(|k| matches!(k, FlightEventKind::TileMode { remote: false, .. })),
+            ),
+            (
+                "modes_remote",
+                live.modes_remote,
+                count(|k| matches!(k, FlightEventKind::TileMode { remote: true, .. })),
+            ),
+        ];
+        for (name, live, ring) in pairs {
+            assert_eq!(live, ring, "rank {rank}: telemetry {name} != flight ring");
+        }
+        assert!(live.steps_done > 0, "rank {rank} ran no tile steps");
+        retries += live.retries;
+    }
+    assert_eq!(retries, 1, "the plan injects exactly one transient fault");
+}
