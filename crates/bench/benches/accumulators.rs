@@ -1,7 +1,8 @@
 //! SPA vs hash accumulator micro-benchmark — the empirical basis of the
-//! §III-C policy (SPA for `d ≤ 1024`, hash above): the dense SPA wins while
-//! its value array fits in cache, the hash accumulator wins for very wide
-//! rows.
+//! §III-C policy (SPA for `d ≤ 1024`, hash above): the dense SPA (a value
+//! array kept at the semiring zero, ⊕ without a branch, and a touched bitmap
+//! walked in column order on drain) wins while its value array fits in
+//! cache, the hash accumulator wins for very wide rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

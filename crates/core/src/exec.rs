@@ -339,6 +339,7 @@ pub fn try_ts_spgemm<S: Semiring>(
                 own: modes.own(rb, cb),
                 brows: &brows,
                 cparts: &cparts,
+                d,
             };
             let segs = active.step(cb);
             let step_out = if multi_band {
@@ -348,7 +349,7 @@ pub fn try_ts_spgemm<S: Semiring>(
                 &mut c_out
             };
             if pool.nthreads() == 1 {
-                flops += owner_rows(&ctx, segs, &mut acc, step_out);
+                flops += acc.owner_rows(&ctx, segs, step_out);
             } else {
                 // nnz-balanced chunks over this step's rows; one private
                 // accumulator per chunk (the paper's per-thread SPA),
@@ -366,9 +367,11 @@ pub fn try_ts_spgemm<S: Semiring>(
                     let t0 = trace.then(Instant::now);
                     let mut c_acc = RowAccum::<S>::new(use_spa, d);
                     let mut rows = RowBlock::new();
-                    let f = owner_rows(&ctx, &segs[chunks[k].clone()], &mut c_acc, &mut rows);
+                    let f = c_acc.owner_rows(&ctx, &segs[chunks[k].clone()], &mut rows);
                     (rows, f, t0.map(|t| (t, Instant::now())))
                 });
+                let entries = parts.iter().map(|(rows, ..)| rows.indices.len()).sum();
+                step_out.reserve(segs.len(), entries);
                 for (k, (rows, f, span)) in parts.into_iter().enumerate() {
                     step_out.append(&rows);
                     flops += f;
@@ -390,7 +393,7 @@ pub fn try_ts_spgemm<S: Semiring>(
         // ---- MERGE: ⊕ the band's column-band segments row by row --------
         if multi_band {
             let merge_span = comm.span(|| format!("{}:merge", cfg.tag));
-            band.merge_into(hi_l - lo_l, &mut acc, &mut c_out);
+            acc.merge_band(&mut band, hi_l - lo_l, &mut c_out);
             merge_span.end();
         }
     }
@@ -437,6 +440,13 @@ impl<T: Copy> RowBlock<T> {
         (&self.indices[lo..hi], &self.values[lo..hi])
     }
 
+    /// Makes room for `rows` more rows holding `entries` entries in all.
+    fn reserve(&mut self, rows: usize, entries: usize) {
+        self.indptr.reserve(rows);
+        self.indices.reserve(entries);
+        self.values.reserve(entries);
+    }
+
     fn clear(&mut self) {
         self.indptr.truncate(1);
         self.indices.clear();
@@ -459,6 +469,8 @@ impl<T: Copy> RowBlock<T> {
 }
 
 /// The row accumulator of one invocation (picked once from the config).
+/// Each pass matches on it once and then runs a loop monomorphised for the
+/// concrete accumulator, so the per-flop ⊕ is never dispatched.
 enum RowAccum<S: Semiring> {
     Spa(Spa<S>),
     Hash(HashAccum<S>),
@@ -473,26 +485,38 @@ impl<S: Semiring> RowAccum<S> {
         }
     }
 
-    #[inline]
-    fn accumulate(&mut self, col: Idx, val: S::T) {
+    /// [`owner_rows`] with the concrete accumulator.
+    fn owner_rows(
+        &mut self,
+        ctx: &OwnerCtx<'_, S>,
+        segs: &[Segment],
+        out: &mut RowBlock<S::T>,
+    ) -> u64 {
         match self {
-            Self::Spa(a) => a.accumulate(col, val),
-            Self::Hash(a) => a.accumulate(col, val),
+            Self::Spa(a) => owner_rows(ctx, segs, a, out),
+            Self::Hash(a) => owner_rows(ctx, segs, a, out),
         }
     }
 
-    /// Drains the accumulated row (sorted, semiring zeros dropped) as the
-    /// next row of `out`.
-    fn drain_row(&mut self, out: &mut RowBlock<S::T>) {
-        let acc: &mut dyn Accumulator<S> = match self {
-            Self::Spa(a) => a,
-            Self::Hash(a) => a,
-        };
-        if acc.touched() > 0 {
-            acc.drain_sorted(&mut out.indices, &mut out.values);
+    /// [`BandSegments::merge_into`] with the concrete accumulator.
+    fn merge_band(
+        &mut self,
+        band: &mut BandSegments<S::T>,
+        nrows: usize,
+        out: &mut RowBlock<S::T>,
+    ) {
+        match self {
+            Self::Spa(a) => band.merge_into(nrows, a, out),
+            Self::Hash(a) => band.merge_into(nrows, a, out),
         }
-        out.indptr.push(out.indices.len());
     }
+}
+
+/// Drains the accumulated row (sorted, semiring zeros dropped) as the next
+/// row of `out`.
+fn drain_row<S: Semiring, A: Accumulator<S>>(acc: &mut A, out: &mut RowBlock<S::T>) {
+    acc.drain_sorted(&mut out.indices, &mut out.values);
+    out.indptr.push(out.indices.len());
 }
 
 /// Received entries grouped by row over a contiguous row range `lo..`: a
@@ -670,10 +694,10 @@ impl<T: Copy> BandSegments<T> {
     /// (a drained row is sorted and holds no zeros, so accumulating and
     /// draining it again would give the same bits), and several are
     /// ⊕-merged through `acc` in `cb` order.
-    fn merge_into<S: Semiring<T = T>>(
+    fn merge_into<S: Semiring<T = T>, A: Accumulator<S>>(
         &mut self,
         nrows: usize,
-        acc: &mut RowAccum<S>,
+        acc: &mut A,
         out: &mut RowBlock<T>,
     ) {
         self.start.clear();
@@ -709,7 +733,7 @@ impl<T: Copy> BandSegments<T> {
                             acc.accumulate(c, v);
                         }
                     }
-                    acc.drain_row(out);
+                    drain_row(acc, out);
                 }
             }
             lo = hi;
@@ -736,6 +760,65 @@ struct OwnerCtx<'a, S: Semiring> {
     brows: &'a RowIndex<S::T>,
     /// Received partial C rows over the row band.
     cparts: &'a RowIndex<S::T>,
+    /// Output columns.
+    d: usize,
+}
+
+/// A `B` row the tile owner multiplies: a row of its own `B` block
+/// (diagonal) or one received for a local-mode sub-tile.
+enum BRow<'a, T> {
+    Own(&'a [Idx], &'a [T]),
+    Fetched(&'a [(Idx, T)]),
+}
+
+impl<T> BRow<'_, T> {
+    fn len(&self) -> usize {
+        match self {
+            BRow::Own(cols, _) => cols.len(),
+            BRow::Fetched(entries) => entries.len(),
+        }
+    }
+}
+
+impl<'a, S: Semiring> OwnerCtx<'a, S> {
+    /// The `A` values of `seg` paired with the `B` rows they multiply, in
+    /// column order. Columns of remote-mode sub-tiles are skipped: their
+    /// products arrive as partials.
+    fn b_rows(&self, seg: &Segment) -> impl Iterator<Item = (S::T, BRow<'a, S::T>)> + '_ {
+        let (cols, vals) = self.a_local.row(self.band_lo + seg.row as usize);
+        // Serving rank of the current column and the end of its range;
+        // columns are sorted, so the owner only changes at range ends.
+        let (mut j, mut j_hi) = (0usize, 0 as Idx);
+        (seg.lo as usize..seg.hi as usize).filter_map(move |idx| {
+            let c = cols[idx];
+            if c >= j_hi {
+                j = self.dist.owner(c);
+                j_hi = self.dist.range(j).1;
+            }
+            let brow = if j == self.me {
+                let (bc, bv) = self.b_local.row((c - self.my_lo) as usize);
+                BRow::Own(bc, bv)
+            } else {
+                match self.own[j] {
+                    Some(TileMode::Local) => {
+                        BRow::Fetched(self.brows.row((c - self.cb_lo) as usize))
+                    }
+                    Some(TileMode::Remote) => return None,
+                    // The serving rank saw no entries for this sub-tile,
+                    // yet we hold one: A and A^c have diverged — a bug.
+                    None => unreachable!("sub-tile of column {c} served by {j} has no mode"),
+                }
+            };
+            Some((vals[idx], brow))
+        })
+    }
+
+    /// At most this many entries drain from `seg`'s row: one per product
+    /// and per received partial, and never more than the `d` columns.
+    fn row_bound(&self, seg: &Segment) -> usize {
+        let products: usize = self.b_rows(seg).map(|(_, brow)| brow.len()).sum();
+        (products + self.cparts.row(seg.row as usize).len()).min(self.d)
+    }
 }
 
 /// The tile-owner multiply for a run of a step's row segments: Gustavson
@@ -743,55 +826,43 @@ struct OwnerCtx<'a, S: Semiring> {
 /// partials, each row drained once into `out`. A row's output depends only
 /// on that row's accumulate/drain sequence, so any partition of the step's
 /// segments into runs, appended in order, reproduces the full pass exactly.
-fn owner_rows<S: Semiring>(
+///
+/// `out` is first sized for the run's [`OwnerCtx::row_bound`]s, so the
+/// pass writes its rows without growing a buffer.
+fn owner_rows<S: Semiring, A: Accumulator<S>>(
     ctx: &OwnerCtx<'_, S>,
     segs: &[Segment],
-    acc: &mut RowAccum<S>,
+    acc: &mut A,
     out: &mut RowBlock<S::T>,
 ) -> u64 {
+    out.reserve(segs.len(), segs.iter().map(|seg| ctx.row_bound(seg)).sum());
     let mut flops = 0u64;
     for seg in segs {
-        let r = seg.row as usize;
-        let (cols, vals) = ctx.a_local.row(ctx.band_lo + r);
-        // Serving rank of the current column and the end of its range;
-        // columns are sorted, so the owner only changes at range ends.
-        let (mut j, mut j_hi) = (0usize, 0 as Idx);
-        for idx in seg.lo as usize..seg.hi as usize {
-            let c = cols[idx];
-            let va = vals[idx];
-            if c >= j_hi {
-                j = ctx.dist.owner(c);
-                j_hi = ctx.dist.range(j).1;
-            }
-            if j == ctx.me {
-                // Diagonal: B row is local.
-                let (bc, bv) = ctx.b_local.row((c - ctx.my_lo) as usize);
-                for (&bcol, &bval) in bc.iter().zip(bv) {
-                    acc.accumulate(bcol, S::mul(va, bval));
-                }
-                flops += bc.len() as u64;
-                continue;
-            }
-            match ctx.own[j] {
-                Some(TileMode::Local) => {
-                    let brow = ctx.brows.row((c - ctx.cb_lo) as usize);
-                    for &(bcol, bval) in brow {
+        for (va, brow) in ctx.b_rows(seg) {
+            flops += brow.len() as u64;
+            match brow {
+                BRow::Own(bc, bv) => {
+                    for (&bcol, &bval) in bc.iter().zip(bv) {
                         acc.accumulate(bcol, S::mul(va, bval));
                     }
-                    flops += brow.len() as u64;
                 }
-                Some(TileMode::Remote) => { /* partial arrives below */ }
-                None => {
-                    // The serving rank saw no entries for this sub-tile,
-                    // yet we hold one: A and A^c have diverged — a bug.
-                    unreachable!("sub-tile of column {c} served by {j} has no mode");
+                BRow::Fetched(entries) => {
+                    for &(bcol, bval) in entries {
+                        acc.accumulate(bcol, S::mul(va, bval));
+                    }
                 }
             }
         }
-        for &(col, val) in ctx.cparts.row(r) {
+        for &(col, val) in ctx.cparts.row(seg.row as usize) {
             acc.accumulate(col, val);
         }
-        acc.drain_row(out);
+        let start = out.indices.len();
+        drain_row(acc, out);
+        debug_assert!(
+            out.indices.len() - start <= ctx.row_bound(seg),
+            "row {} drained past its reserved bound",
+            seg.row
+        );
     }
     flops
 }
@@ -1185,6 +1256,134 @@ mod tests {
             }
         }
         tsgemm_pool::set_threads(configured);
+    }
+
+    #[test]
+    fn owner_row_bound_covers_every_drained_row() {
+        // Rank 0 of p = 4 (blocks of 4 rows) owns band rows 0..4; w = 8
+        // gives two column bands. Band 0 holds diagonal columns and rank
+        // 1's local-mode sub-tile, band 1 rank 2's local-mode and rank 3's
+        // remote-mode sub-tiles, so every kind of owner work is bounded.
+        let (n, d, me) = (16, 6, 0);
+        let dist = BlockDist::new(n, 4);
+        let tiling = Tiling::new(dist, 4, 8);
+        // Row 0 reaches all d columns from 9 products (the cap binds), row
+        // 1 cancels, row 2 is empty and row 3 holds only a remote column.
+        let a = Coo::from_entries(
+            4,
+            n,
+            vec![
+                (0, 0, 1.0),
+                (0, 1, 2.0),
+                (0, 4, 1.0),
+                (0, 9, 1.0),
+                (0, 13, 1.0),
+                (1, 2, 1.0),
+                (1, 6, -1.0),
+                (1, 10, 2.0),
+                (3, 14, 1.0),
+            ],
+        )
+        .to_csr::<PlusTimesF64>();
+        // B row k holds columns k, k+1, k+3 (mod d) with value 1: B rows 2
+        // and 6 share column 3, where row 1's products cancel.
+        let brow = |k: Idx| [k, k + 1, k + 3].map(|c| (c % d as Idx, 1.0));
+        let b_local = Coo::from_entries(
+            4,
+            d,
+            (0..4)
+                .flat_map(|k| brow(k).map(|(c, v)| (k, c, v)))
+                .collect(),
+        )
+        .to_csr::<PlusTimesF64>();
+        let trips = |rows: std::ops::Range<Idx>| -> Vec<Trip<f64>> {
+            rows.flat_map(|k| brow(k).map(|(col, val)| Trip { row: k, col, val }))
+                .collect()
+        };
+        // Rank 3's partials for band rows 0 and 3; the first cancels B row
+        // 9's product in column 3.
+        let partials = vec![
+            Trip {
+                row: 0,
+                col: 3,
+                val: -1.0,
+            },
+            Trip {
+                row: 0,
+                col: 5,
+                val: 1.0,
+            },
+            Trip {
+                row: 3,
+                col: 2,
+                val: 1.0,
+            },
+        ];
+        let steps = [
+            (
+                trips(4..8),
+                vec![],
+                [None, Some(TileMode::Local), None, None],
+            ),
+            (
+                trips(8..12),
+                partials,
+                [None, None, Some(TileMode::Local), Some(TileMode::Remote)],
+            ),
+        ];
+        let mut active = ActiveRows::new();
+        active.fill(&a, 0..4, &tiling);
+        let (mut brows, mut cparts) = (RowIndex::new(), RowIndex::new());
+        let mut seen = [Vec::new(), Vec::new()];
+        for (cb, (bmsg, cmsg, own)) in steps.into_iter().enumerate() {
+            let (cb_lo, cb_hi) = tiling.col_band_range(cb);
+            let mut bmsgs = vec![Vec::new(); 4];
+            bmsgs[own
+                .iter()
+                .position(|m| *m == Some(TileMode::Local))
+                .unwrap()] = bmsg;
+            brows.fill(&bmsgs, cb_lo, (cb_hi - cb_lo) as usize, 0.0);
+            cparts.fill(&[vec![], vec![], vec![], cmsg], 0, 4, 0.0);
+            let ctx = OwnerCtx::<PlusTimesF64> {
+                my_lo: 0,
+                band_lo: 0,
+                cb_lo,
+                me,
+                dist,
+                a_local: &a,
+                b_local: &b_local,
+                own: &own,
+                brows: &brows,
+                cparts: &cparts,
+                d,
+            };
+            let segs = active.step(cb);
+            for (use_spa, seen) in [true, false].into_iter().zip(&mut seen) {
+                let mut out = RowBlock::new();
+                RowAccum::<PlusTimesF64>::new(use_spa, d).owner_rows(&ctx, segs, &mut out);
+                for (k, seg) in segs.iter().enumerate() {
+                    let drained = out.indptr[k + 1] - out.indptr[k];
+                    let bound = ctx.row_bound(seg);
+                    assert!(
+                        drained <= bound && bound <= d,
+                        "cb {cb} row {}: drained {drained}, bound {bound}",
+                        seg.row
+                    );
+                    seen.push((cb, seg.row, drained, bound));
+                }
+            }
+        }
+        // (column band, row, drained, bound): row 0 hits the cap in band 0
+        // and counts partials in band 1, cancellation leaves rows below
+        // their bound, and row 3 is bounded by partials alone.
+        let want = [
+            (0, 0, 6, 6),
+            (0, 1, 4, 6),
+            (1, 0, 3, 5),
+            (1, 1, 3, 3),
+            (1, 3, 1, 1),
+        ];
+        assert_eq!(seen, [want, want]);
     }
 
     #[test]

@@ -3,15 +3,23 @@
 //! The paper selects between two accumulators:
 //!
 //! * [`Spa`] — the classic *sparse accumulator*: a dense value array of the
-//!   output-row width plus a stamp array and a touched-index list. For
-//!   tall-and-skinny outputs (`d ≤ 1024`) the dense array fits in L1/L2 and
-//!   SPA wins.
+//!   output-row width, kept at the semiring zero between rows, plus a
+//!   touched bitmap of one bit per column. For tall-and-skinny outputs
+//!   (`d ≤ 1024`) the value array fits in L1 (the bitmap is at most 16
+//!   words) and SPA wins.
 //! * [`HashAccum`] — open-addressing hash accumulator, preferred for wide
 //!   rows (`d > 1024`) where a dense SPA would spill out of cache.
 //!
-//! Both implement [`Accumulator`], so kernels can pick per-multiply. Stamps
-//! (generation counters) make [`Spa::reset`] O(touched), not O(width), which
-//! matters when thousands of short rows reuse one accumulator.
+//! Both implement [`Accumulator`], so kernels can pick per-multiply.
+//!
+//! The SPA's ⊕ has no branch: every slot starts at `S::zero()`, so a first
+//! contribution is `zero ⊕ v`, which the semiring identity law (see
+//! [`Semiring`]) makes bit-identical to `v`. Draining walks the bitmap's set
+//! bits in ascending order, so output columns come out sorted without a
+//! sort, and resets each visited slot back to zero. Draining or resetting
+//! costs O(width / 64 + touched). [`HashAccum`] stores a fresh key's value
+//! as `zero ⊕ v` too, so the two drain identical bits on every stream (a
+//! NaN's sign and payload aside, which Rust leaves unspecified).
 
 use crate::semiring::Semiring;
 use crate::Idx;
@@ -33,12 +41,12 @@ pub trait Accumulator<S: Semiring> {
     fn reset(&mut self);
 }
 
-/// Dense sparse accumulator (SPA) of a fixed width.
+/// Dense sparse accumulator (SPA) of a fixed width: `vals[i]` is the ⊕ of
+/// everything accumulated into column `i` (the semiring zero when nothing
+/// was), and bit `i` of `touched` records whether anything was.
 pub struct Spa<S: Semiring> {
     vals: Vec<S::T>,
-    stamps: Vec<u32>,
-    generation: u32,
-    touched: Vec<Idx>,
+    touched: Vec<u64>,
 }
 
 impl<S: Semiring> Spa<S> {
@@ -46,23 +54,12 @@ impl<S: Semiring> Spa<S> {
     pub fn new(width: usize) -> Self {
         Self {
             vals: vec![S::zero(); width],
-            stamps: vec![0; width],
-            generation: 1,
-            touched: Vec::new(),
+            touched: vec![0; width.div_ceil(64)],
         }
     }
 
     pub fn width(&self) -> usize {
         self.vals.len()
-    }
-
-    fn bump_generation(&mut self) {
-        if self.generation == u32::MAX {
-            self.stamps.fill(0);
-            self.generation = 1;
-        } else {
-            self.generation += 1;
-        }
     }
 }
 
@@ -71,46 +68,37 @@ impl<S: Semiring> Accumulator<S> for Spa<S> {
     fn accumulate(&mut self, idx: Idx, val: S::T) {
         let i = idx as usize;
         debug_assert!(i < self.vals.len(), "SPA index {i} out of width");
-        if self.stamps[i] == self.generation {
-            self.vals[i] = S::add(self.vals[i], val);
-        } else {
-            self.stamps[i] = self.generation;
-            self.vals[i] = val;
-            self.touched.push(idx);
-        }
+        self.touched[i / 64] |= 1 << (i % 64);
+        self.vals[i] = S::add(self.vals[i], val);
     }
 
     fn touched(&self) -> usize {
-        self.touched.len()
+        self.touched.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     fn drain_sorted(&mut self, idx_out: &mut Vec<Idx>, val_out: &mut Vec<S::T>) {
-        // For nearly-full rows a linear scan of the dense array is cheaper
-        // than sorting the touched list; cross over at ~width/8 touched.
-        if self.touched.len() * 8 >= self.vals.len() {
-            for i in 0..self.vals.len() {
-                if self.stamps[i] == self.generation && !S::is_zero(&self.vals[i]) {
-                    idx_out.push(i as Idx);
-                    val_out.push(self.vals[i]);
-                }
-            }
-        } else {
-            self.touched.sort_unstable();
-            for &idx in &self.touched {
-                let v = self.vals[idx as usize];
+        for (k, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = k * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let v = std::mem::replace(&mut self.vals[i], S::zero());
                 if !S::is_zero(&v) {
-                    idx_out.push(idx);
+                    idx_out.push(i as Idx);
                     val_out.push(v);
                 }
             }
         }
-        self.touched.clear();
-        self.bump_generation();
     }
 
     fn reset(&mut self) {
-        self.touched.clear();
-        self.bump_generation();
+        for (k, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                self.vals[k * 64 + bits.trailing_zeros() as usize] = S::zero();
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
@@ -185,7 +173,7 @@ impl<S: Semiring> Accumulator<S> for HashAccum<S> {
             }
             if self.keys[i] == EMPTY_KEY {
                 self.keys[i] = idx;
-                self.vals[i] = val;
+                self.vals[i] = S::add(S::zero(), val);
                 self.len += 1;
                 return;
             }
@@ -198,6 +186,9 @@ impl<S: Semiring> Accumulator<S> for HashAccum<S> {
     }
 
     fn drain_sorted(&mut self, idx_out: &mut Vec<Idx>, val_out: &mut Vec<S::T>) {
+        if self.len == 0 {
+            return;
+        }
         self.pairs.clear();
         for i in 0..self.keys.len() {
             if self.keys[i] != EMPTY_KEY {
@@ -314,8 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn spa_dense_row_linear_scan_path() {
-        // Touch nearly every slot to exercise the scan branch of drain.
+    fn spa_full_row_drains_in_order() {
         let mut spa = Spa::<PlusTimesF64>::new(8);
         for i in (0..8).rev() {
             spa.accumulate(i, i as f64 + 1.0);

@@ -12,6 +12,16 @@
 /// `zero()` must be the identity of `add` and annihilating for `mul`; entries
 /// for which [`Semiring::is_zero`] holds are dropped from sparse outputs,
 /// which keeps BFS frontiers and masked products properly sparse.
+///
+/// **Identity law.** `add(zero(), x)` must equal `x` bit for bit for every
+/// `x` that `is_zero` keeps; a NaN need only stay a NaN, since Rust leaves
+/// the sign and payload of a NaN result unspecified. The dense SPA ([`crate::accum::Spa`]) keeps
+/// every slot at `zero()` between rows and folds each contribution in with
+/// `add`, with no first-touch branch, so this law is what makes a row's
+/// first contribution come out unchanged. The one allowed exception is NaN
+/// under an `f64::min` ⊕ ([`MinPlusF64`], [`Sel2ndMinF64`]): `min` ignores
+/// NaN, so `add(zero(), NaN)` is `zero()`, and an entry whose only
+/// contributions are NaN is dropped.
 pub trait Semiring: Copy + Send + Sync + 'static {
     /// The scalar type stored in matrices multiplied under this semiring.
     type T: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static;
@@ -141,6 +151,51 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Finite values, signed zeros, infinities, subnormals and NaN.
+    const SPECIALS: [f64; 14] = [
+        0.0,
+        -0.0,
+        1.0,
+        -2.5,
+        1e300,
+        -1e-300,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE / 2.0,
+        -f64::MIN_POSITIVE / 1024.0,
+        5e-324,
+        -5e-324,
+        f64::NAN,
+        -f64::NAN,
+    ];
+
+    /// The identity law over [`SPECIALS`]: `zero ⊕ x` has `x`'s bits when
+    /// `x` is kept (a NaN stays a NaN of unspecified sign and payload); a
+    /// dropped `x` may fold to any zero (`0.0 + -0.0` is `+0.0`).
+    /// `nan_is_absorbed` marks an `f64::min` ⊕, which maps NaN to zero.
+    fn check_identity_law<S: Semiring<T = f64>>(nan_is_absorbed: bool) {
+        for x in SPECIALS {
+            let y = S::add(S::zero(), x);
+            if S::is_zero(&x) || (x.is_nan() && nan_is_absorbed) {
+                assert!(S::is_zero(&y), "zero ⊕ {x:?} = {y:?} must be dropped");
+            } else if x.is_nan() {
+                assert!(y.is_nan(), "zero ⊕ NaN = {y:?}");
+            } else {
+                assert_eq!(y.to_bits(), x.to_bits(), "zero ⊕ {x:?} = {y:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn identity_law_holds_bit_for_bit() {
+        check_identity_law::<PlusTimesF64>(false);
+        check_identity_law::<MinPlusF64>(true);
+        check_identity_law::<Sel2ndMinF64>(true);
+        for x in [false, true] {
+            assert_eq!(BoolAndOr::add(BoolAndOr::zero(), x), x);
         }
     }
 

@@ -2,14 +2,16 @@
 //! algebraic equivalences on arbitrary inputs.
 
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use tsgemm_sparse::accum::{Accumulator, HashAccum, Spa};
 use tsgemm_sparse::ewise::{andnot, intersect, union};
 use tsgemm_sparse::merge::merge;
 use tsgemm_sparse::perm::{permute_symmetric, random_permutation, rcm_order};
+use tsgemm_sparse::semiring::{MinPlusF64, Sel2ndMinF64, Semiring};
 use tsgemm_sparse::sparsify::{sparsity, topk_per_row};
 use tsgemm_sparse::spgemm::{spgemm, spgemm_par, spgemm_symbolic, AccumChoice};
 use tsgemm_sparse::spmm::spmm;
-use tsgemm_sparse::{Coo, Csr, DenseMat, Idx, PlusTimesF64};
+use tsgemm_sparse::{BoolAndOr, Coo, Csr, DenseMat, Idx, PlusTimesF64};
 
 /// Strategy: a random COO matrix with the given bounds.
 fn coo_strategy(max_n: usize, max_m: usize, max_nnz: usize) -> impl Strategy<Value = Coo<f64>> {
@@ -44,6 +46,87 @@ fn dense_ref_mm(a: &Csr<f64>, b: &Csr<f64>) -> Vec<Vec<f64>> {
         }
     }
     c
+}
+
+/// Accumulator widths: a single column, either side of one and two bitmap
+/// words, and the SPA's `d ≤ 1024` limit.
+const ACC_WIDTHS: [usize; 7] = [1, 63, 64, 65, 128, 1000, 1024];
+
+/// Accumulator inputs: signed zeros, infinities, NaN, and small integers
+/// whose sums cancel to zero exactly, besides arbitrary finite values.
+fn special_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::NAN),
+        (-3i32..=3).prop_map(f64::from),
+        (-3i32..=3).prop_map(f64::from),
+        -4.0f64..4.0,
+    ]
+}
+
+fn drain<S: Semiring, A: Accumulator<S>>(acc: &mut A, bits: fn(S::T) -> u64) -> Vec<(Idx, u64)> {
+    let (mut idx, mut val) = (Vec::new(), Vec::new());
+    acc.drain_sorted(&mut idx, &mut val);
+    idx.into_iter().zip(val.into_iter().map(bits)).collect()
+}
+
+/// Accumulates `stream[..split]` and resets, then the whole stream twice
+/// with a drain after each pass. `Spa` and `HashAccum` must count the same
+/// touched columns and drain the same `(column, bits(value))` as the fold
+/// `zero ⊕ v₁ ⊕ v₂ ⊕ …` per column with zeros dropped.
+fn check_accumulators<S: Semiring>(
+    width: usize,
+    stream: &[(Idx, S::T)],
+    split: usize,
+    bits: fn(S::T) -> u64,
+) {
+    let mut fold = BTreeMap::new();
+    for &(i, v) in stream {
+        let slot = fold.entry(i).or_insert_with(S::zero);
+        *slot = S::add(*slot, v);
+    }
+    let want: Vec<(Idx, u64)> = fold
+        .into_iter()
+        .filter(|(_, v)| !S::is_zero(v))
+        .map(|(i, v)| (i, bits(v)))
+        .collect();
+
+    let mut spa = Spa::<S>::new(width);
+    let mut hash = HashAccum::<S>::with_capacity(4);
+    let prefix = &stream[..split.min(stream.len())];
+    for &(i, v) in prefix {
+        spa.accumulate(i, v);
+        hash.accumulate(i, v);
+    }
+    let distinct = prefix
+        .iter()
+        .map(|&(i, _)| i)
+        .collect::<BTreeSet<_>>()
+        .len();
+    assert_eq!(spa.touched(), distinct, "width {width}: SPA touched count");
+    assert_eq!(
+        hash.touched(),
+        distinct,
+        "width {width}: hash touched count"
+    );
+    spa.reset();
+    hash.reset();
+    assert_eq!(
+        (spa.touched(), hash.touched()),
+        (0, 0),
+        "width {width}: after reset"
+    );
+    for _ in 0..2 {
+        for &(i, v) in stream {
+            spa.accumulate(i, v);
+            hash.accumulate(i, v);
+        }
+        assert_eq!(drain(&mut spa, bits), want, "width {width}: SPA drain");
+        assert_eq!(drain(&mut hash, bits), want, "width {width}: hash drain");
+    }
 }
 
 proptest! {
@@ -188,22 +271,20 @@ proptest! {
     }
 
     #[test]
-    fn accumulators_agree_on_any_stream(
-        stream in proptest::collection::vec((0..64 as Idx, -4.0f64..4.0), 0..200),
+    fn accumulators_drain_identical_bits(
+        stream in proptest::collection::vec((any::<u32>(), special_f64()), 0..300),
+        split in 0usize..300,
     ) {
-        let mut spa = Spa::<PlusTimesF64>::new(64);
-        let mut hash = HashAccum::<PlusTimesF64>::with_capacity(8);
-        for &(i, v) in &stream {
-            spa.accumulate(i, v);
-            hash.accumulate(i, v);
-        }
-        let (mut si, mut sv) = (Vec::new(), Vec::new());
-        let (mut hi, mut hv) = (Vec::new(), Vec::new());
-        spa.drain_sorted(&mut si, &mut sv);
-        hash.drain_sorted(&mut hi, &mut hv);
-        prop_assert_eq!(si, hi);
-        for (a, b) in sv.iter().zip(&hv) {
-            prop_assert!((a - b).abs() < 1e-9);
+        // Rust leaves a NaN result's sign and payload unspecified (the
+        // optimiser may commute `NaN + NaN`), so NaNs compare as one value.
+        let bits = |v: f64| if v.is_nan() { f64::NAN } else { v }.to_bits();
+        for width in ACC_WIDTHS {
+            let s: Vec<(Idx, f64)> = stream.iter().map(|&(i, v)| (i % width as u32, v)).collect();
+            let b: Vec<(Idx, bool)> = s.iter().map(|&(i, v)| (i, v > 0.0)).collect();
+            check_accumulators::<PlusTimesF64>(width, &s, split, bits);
+            check_accumulators::<MinPlusF64>(width, &s, split, bits);
+            check_accumulators::<Sel2ndMinF64>(width, &s, split, bits);
+            check_accumulators::<BoolAndOr>(width, &b, split, |v| v as u64);
         }
     }
 
