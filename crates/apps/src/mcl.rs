@@ -140,11 +140,11 @@ pub fn mcl(comm: &mut Comm, a: &DistCsr<f64>, cfg: &MclConfig) -> (Vec<Idx>, usi
         let (expanded, _) = ts_spgemm::<PlusTimesF64>(comm, &m_dist, &ac, &m_dist, &tcfg);
 
         // Inflation + prune + re-normalise.
-        let inflate_start = comm.trace_on().then(std::time::Instant::now);
+        let inflate = comm.span(|| format!("{}:i{it}:inflate", cfg.tag));
         let inflated = expanded.map_values(|v| v.powf(cfg.inflation));
         let pruned = inflated.filter(|_, _, v| v >= cfg.prune_threshold);
-        if let Some(t) = inflate_start {
-            comm.record_span(format!("{}:i{it}:inflate", cfg.tag), t);
+        inflate.end();
+        if comm.trace_on() {
             let dropped = (inflated.nnz() - pruned.nnz()) as u64;
             comm.metrics(|mr| {
                 let phase = format!("{}:i{it}", cfg.tag);

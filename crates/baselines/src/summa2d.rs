@@ -171,7 +171,7 @@ pub fn summa2d<S: Semiring>(
     let a_block = extract_block::<S>(acoo, rlo..rhi, clo..chi);
     let b_block = extract_block::<S>(bcoo, rlo..rhi, dlo..dhi);
 
-    let stages_start = comm.trace_on().then(std::time::Instant::now);
+    let stages = comm.span(|| format!("{tag}:stages"));
     let (c_trips, flops) = summa_stages::<S>(
         &mut grid,
         &a_block,
@@ -182,9 +182,7 @@ pub fn summa2d<S: Semiring>(
         accum,
         tag,
     );
-    if let Some(t) = stages_start {
-        comm.record_span(format!("{tag}:stages"), t);
-    }
+    stages.end();
     comm.add_flops(flops);
 
     let stats = SummaStats {

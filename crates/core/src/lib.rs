@@ -51,8 +51,7 @@ pub mod trace {
     pub use tsgemm_net::metrics::{Histogram, MetricValue, Metrics, MetricsRegistry};
     pub use tsgemm_net::stats::PhaseSpan;
     pub use tsgemm_net::telemetry::{
-        self, MatrixSlice, RankSnapshot, RankTelemetry, Telemetry, TelemetrySnapshot,
-        TELEMETRY_ADDR_ENV,
+        self, MatrixSlice, RankSnapshot, Telemetry, TelemetrySnapshot, TELEMETRY_ADDR_ENV,
     };
     pub use tsgemm_net::trace::{
         chrome_trace_json, phase_rollup, render_rollup, write_trace_files, PhaseRollup, TraceConfig,

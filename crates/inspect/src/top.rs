@@ -101,12 +101,11 @@ pub fn render(snap: &Json) -> String {
     ));
     let mem = snap.get("mem");
     out.push_str(&format!(
-        "total sent: {}  rate: {}/s  mem live/peak: {}/{}  dropped events: {}\n\n",
+        "total sent: {}  rate: {}/s  mem live/peak: {}/{}\n\n",
         fmt_bytes(f(snap.get("bytes_sent_total"))),
         fmt_bytes(f(snap.get("send_rate_bps"))),
         fmt_bytes(f(mem.and_then(|m| m.get("live_bytes")))),
         fmt_bytes(f(mem.and_then(|m| m.get("peak_bytes")))),
-        fu(snap.get("dropped_events")),
     ));
 
     // ---- per-rank table -------------------------------------------------
@@ -207,7 +206,7 @@ mod tests {
     fn sample_doc() -> Json {
         crate::parse(
             r#"{"p":2,"run_id":3,"running":true,"uptime_secs":1.5,
-                "dropped_events":0,"ticks":100,
+                "ticks":100,
                 "mem":{"live_bytes":1048576,"peak_bytes":2097152},
                 "bytes_sent_total":4096,"send_rate_bps":2048.0,
                 "ranks":[

@@ -161,6 +161,9 @@ pub struct Comm {
     log: Arc<Mutex<RankLog>>,
     /// Gate for algorithm-level trace instrumentation.
     trace: TraceConfig,
+    /// True when live telemetry reads the log (set by `World` for the
+    /// whole run), so [`Comm::span`] knows without taking the lock.
+    live: bool,
     /// Fault-injection context; `None` outside `World::try_run` (and for
     /// empty fault plans), which keeps every hot path exactly as fast and
     /// as deterministic as an uninstrumented run.
@@ -173,6 +176,7 @@ impl Comm {
         rank: usize,
         log: Arc<Mutex<RankLog>>,
         trace: TraceConfig,
+        live: bool,
     ) -> Self {
         Self {
             group,
@@ -181,6 +185,7 @@ impl Comm {
             split_gen: 0,
             log,
             trace,
+            live,
             fault: None,
         }
     }
@@ -251,14 +256,6 @@ impl Comm {
         f(&mut lock(&self.log).metrics)
     }
 
-    /// Records a phase span `[started, now]` on this rank's timeline.
-    /// Callers obtain `started` from `Instant::now()` before the phase and
-    /// should guard the whole pattern behind [`Comm::trace_on`].
-    pub fn record_span(&self, tag: impl Into<String>, started: Instant) {
-        let tag = tag.into();
-        lock(&self.log).profile.record_span(tag, started);
-    }
-
     /// Records a phase span with explicit endpoints, for intervals timed on
     /// worker threads and logged by the rank after the pool join (one
     /// Chrome-trace lane per distinct tag, e.g. `ts:kernel:t3`).
@@ -271,20 +268,23 @@ impl Comm {
 
     /// Opens a drop-guard span: the span is recorded when the guard drops,
     /// so early returns (`?` on a [`CommError`]) and unwinds close it
-    /// instead of leaking an open span out of the trace. The span always
-    /// feeds live telemetry's stack and reaches the profile only when
-    /// tracing is on. With both off the tag closure never runs, so the
-    /// span costs no formatting or allocation.
+    /// instead of leaking an open span out of the trace. The span feeds
+    /// live telemetry's stack while telemetry is attached, and reaches the
+    /// profile only when tracing is on; each end takes the log lock at most
+    /// once. With both off the tag closure never runs, so the span costs no
+    /// formatting, allocation or lock.
     ///
     /// The guard holds the log handle, not `&self`, so `&mut self`
     /// collectives can run while it is open.
     pub fn span(&self, tag: impl FnOnce() -> String) -> SpanGuard {
         let traced = self.trace.on();
-        if !traced && !lock(&self.log).telemetry_on() {
+        if !traced && !self.live {
             return SpanGuard::inactive();
         }
         let tag = tag();
-        lock(&self.log).span_open(&tag);
+        if self.live {
+            lock(&self.log).span_open(&tag);
+        }
         SpanGuard {
             open: Some(OpenSpan {
                 log: Arc::clone(&self.log),
@@ -304,8 +304,8 @@ impl Comm {
     }
 
     /// Records an algorithm-level event (retry, mode decision, step marker)
-    /// into the flight ring and forwards it to live telemetry when that is
-    /// on, so the live view and the postmortem ring never disagree.
+    /// into the flight ring and the log's live counts, so the live view and
+    /// the postmortem ring never disagree.
     #[inline]
     pub fn flight_record(&self, tag: &str, kind: FlightEventKind) {
         lock(&self.log).event(tag, kind);
@@ -1056,6 +1056,7 @@ impl Comm {
             split_gen: 0,
             log: Arc::clone(&self.log),
             trace: self.trace,
+            live: self.live,
             // A rank's splits share its fault context: the collective counter
             // keeps running across communicators, so "crash at collective #k"
             // means the k-th collective the rank enters anywhere.

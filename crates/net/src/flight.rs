@@ -35,7 +35,7 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 pub const FLIGHT_TAG_MAX: usize = 23;
 
 /// A phase tag stored inline (truncated UTF-8), so events never allocate.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlightTag {
     len: u8,
     truncated: bool,
@@ -156,10 +156,11 @@ impl FlightRecorder {
         self.total
     }
 
-    /// Records one event. Never allocates: the backing store was reserved at
-    /// construction, so this is a bounds-checked write plus a clock read.
+    /// Records one event and returns its inline tag. Never allocates: the
+    /// backing store was reserved at construction, so this is a
+    /// bounds-checked write plus a clock read.
     #[inline]
-    pub fn record(&mut self, tag: &str, kind: FlightEventKind) {
+    pub fn record(&mut self, tag: &str, kind: FlightEventKind) -> FlightTag {
         // Runtime tags are designed to fit inline; a longer one silently
         // collides after truncation, so catch it in debug builds. (Postmortem
         // tooling also warns: truncated events carry `"truncated":true` in
@@ -168,9 +169,10 @@ impl FlightRecorder {
             tag.len() <= FLIGHT_TAG_MAX,
             "flight tag {tag:?} exceeds FLIGHT_TAG_MAX ({FLIGHT_TAG_MAX} bytes) and will be truncated"
         );
+        let tag = FlightTag::new(tag);
         let ev = FlightEvent {
             t_secs: self.epoch.elapsed().as_secs_f64(),
-            tag: FlightTag::new(tag),
+            tag,
             kind,
         };
         let pos = (self.total % self.capacity as u64) as usize;
@@ -181,6 +183,7 @@ impl FlightRecorder {
             self.events[pos] = ev;
         }
         self.total += 1;
+        tag
     }
 
     /// Retained events, oldest first.

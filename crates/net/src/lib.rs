@@ -55,10 +55,7 @@ pub use flight::{
 };
 pub use metrics::{Histogram, MetricValue, Metrics, MetricsRegistry};
 pub use stats::{CollKind, CollectiveRecord, PhaseSpan, RankProfile, Segment};
-pub use telemetry::{
-    MatrixSlice, RankSnapshot, RankTelemetry, TelEvent, TelEventKind, Telemetry, TelemetrySnapshot,
-    TELEMETRY_ADDR_ENV,
-};
+pub use telemetry::{MatrixSlice, RankSnapshot, Telemetry, TelemetrySnapshot, TELEMETRY_ADDR_ENV};
 pub use trace::{
     chrome_trace_json, phase_rollup, render_rollup, write_trace_files, PhaseRollup, TraceConfig,
 };

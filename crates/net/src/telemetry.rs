@@ -1,5 +1,5 @@
-//! Live telemetry: per-rank lock-free event rings, a streaming aggregator,
-//! and a zero-dependency scrape endpoint.
+//! Live telemetry: a streaming aggregator that reads the per-rank logs, and
+//! a zero-dependency scrape endpoint.
 //!
 //! Everything else in the observability stack (metrics registries, Chrome
 //! traces, the flight recorder) is post-mortem: it answers questions after
@@ -11,46 +11,44 @@
 //!
 //! Design, hot path outwards:
 //!
-//! * **Per-rank SPSC ring** ([`EventRing`]) — a bounded Lamport queue of
-//!   `Copy` [`TelEvent`]s. The producer is the rank thread (all of a rank's
-//!   communicators, including [`crate::Comm::split`] children, share one
-//!   ring and live on one OS thread, so single-producer holds); the consumer
-//!   is the aggregator. A full ring drops the event and counts the drop —
-//!   recording never blocks and never allocates.
-//! * **Aggregator** — one background thread drains every ring at a fixed
-//!   cadence (`TSGEMM_TELEMETRY_SAMPLE_MS`, default 1 ms) and folds events
-//!   into rolling state: counter rates over a sliding window, live/peak
-//!   memory from [`crate::alloc`] when the counting allocator is active,
-//!   per-rank collective queue depth (posted − completed), and a full
-//!   rank×rank byte matrix split by collective kind *and* by symbolic mode
-//!   pick (`:bfetch` traffic is the local mode shipping B rows, `:cret` is
-//!   the remote mode returning partial C).
-//! * **Sampling profiler** — the same aggregator tick snapshots each rank's
-//!   live [`crate::SpanGuard`] stack (reconstructed from push/pop events)
-//!   into folded-stack form, i.e. flamegraph input, with zero per-sample
-//!   cost on the rank threads.
+//! * **The rank log is the source.** Telemetry has no event stream of its
+//!   own. Each rank's log already keeps a `Copy` tally of live counts
+//!   (posted, done, retries, steps, mode picks, bytes), updated in the same
+//!   call that writes the flight ring, and, while telemetry is attached, the
+//!   stack of open span tags (see `rank_log.rs`). Nothing is dropped, and the
+//!   counts stay exact after the flight ring wraps.
+//! * **Aggregator** — one background thread visits every rank log at a
+//!   fixed cadence (`TSGEMM_TELEMETRY_SAMPLE_MS`, default 1 ms). Under the
+//!   log's lock it copies the tally and the span stack, and folds the
+//!   `bytes_to` of every profile segment added since its last visit into a
+//!   full rank×rank byte matrix split by collective kind *and* by symbolic
+//!   mode pick (`:bfetch` traffic is the local mode shipping B rows, `:cret`
+//!   is the remote mode returning partial C). Outside the lock it keeps
+//!   counter rates over a sliding window, live/peak memory from
+//!   [`crate::alloc`] when the counting allocator is active, and per-rank
+//!   collective queue depth (posted − completed).
+//! * **Sampling profiler** — the same tick turns each rank's copied
+//!   [`crate::SpanGuard`] stack into folded-stack form, i.e. flamegraph
+//!   input. A rank thread pays one push and one pop per span.
 //! * **Scrape endpoint** — a `std::net::TcpListener` HTTP server (no
 //!   dependencies) serving Prometheus text exposition at `/metrics`, a JSON
 //!   snapshot at `/snapshot.json` and folded stacks at `/stacks.folded`.
 //!
 //! The whole subsystem is gated on `TSGEMM_TELEMETRY_ADDR`: when the
 //! variable is unset, [`global`] returns `None` without constructing
-//! anything — not even the rings — so an untelemetered run pays exactly one
-//! `OnceLock` load per [`crate::World::run`] (pinned allocation-free in
+//! anything, so an untelemetered run pays exactly one `OnceLock` load per
+//! [`crate::World::run`] (pinned allocation-free in
 //! `tests/memory_invariant.rs`). Bind to port 0 (`127.0.0.1:0`) to let the
 //! OS pick a free port; [`Telemetry::addr`] reports the actual one.
 
 use crate::alloc;
-use crate::flight::{FlightEventKind, FlightTag};
+use crate::flight::FlightTag;
 use crate::metrics::{json_f64, json_string};
-use crate::rank_log::lock;
+use crate::rank_log::{lock, RankLog, Tally};
 use crate::stats::CollKind;
-use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
-use std::mem::MaybeUninit;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -58,151 +56,12 @@ use std::time::{Duration, Instant};
 /// address (e.g. `127.0.0.1:9187`, or `127.0.0.1:0` for an ephemeral port).
 pub const TELEMETRY_ADDR_ENV: &str = "TSGEMM_TELEMETRY_ADDR";
 
-/// Environment variable overriding the aggregator drain/sample cadence in
+/// Environment variable overriding the aggregator sample cadence in
 /// milliseconds (default 1).
 pub const TELEMETRY_SAMPLE_ENV: &str = "TSGEMM_TELEMETRY_SAMPLE_MS";
 
-/// Events each rank's ring can hold before it starts dropping (a power of
-/// two; ~8k events absorb several full tile steps between 1 ms drains).
-pub const RING_CAPACITY: usize = 1 << 13;
-
 /// Width of the sliding window the aggregator computes rates over.
 const RATE_WINDOW: Duration = Duration::from_secs(5);
-
-/// How long [`Telemetry::sync`] is willing to wait for the aggregator.
-const SYNC_TIMEOUT: Duration = Duration::from_secs(5);
-
-// ---------------------------------------------------------------------------
-// Events
-// ---------------------------------------------------------------------------
-
-/// What a rank reports to the aggregator. All payloads are `Copy`.
-#[derive(Clone, Copy, Debug)]
-pub enum TelEventKind {
-    /// A flight-recorder event, forwarded verbatim (collective posted /
-    /// completed, retries, mode picks, tile-step markers).
-    Flight(FlightEventKind),
-    /// Sender-side bytes for one destination of one collective: this rank
-    /// moved `bytes` payload bytes to world rank `dst`. These populate the
-    /// rank×rank matrix.
-    Edge {
-        dst: u32,
-        kind: CollKind,
-        bytes: u64,
-    },
-    /// A [`crate::SpanGuard`] opened on this rank.
-    SpanPush,
-    /// The most recently opened live span on this rank closed.
-    SpanPop,
-}
-
-/// One ring entry.
-#[derive(Clone, Copy, Debug)]
-pub struct TelEvent {
-    /// World rank of the producer.
-    pub rank: u32,
-    /// Phase tag (inline, truncated like flight tags).
-    pub tag: FlightTag,
-    pub kind: TelEventKind,
-}
-
-// ---------------------------------------------------------------------------
-// SPSC ring
-// ---------------------------------------------------------------------------
-
-/// Bounded single-producer single-consumer ring of [`TelEvent`]s (Lamport
-/// queue). `push` runs on the rank thread and never blocks, allocates or
-/// spins; `pop` runs on the aggregator thread. Overflow drops the event and
-/// bumps a counter rather than stalling the run.
-pub struct EventRing {
-    slots: Box<[UnsafeCell<MaybeUninit<TelEvent>>]>,
-    /// Consumer position (only advanced by `pop`).
-    head: AtomicUsize,
-    /// Producer position (only advanced by `push`).
-    tail: AtomicUsize,
-    dropped: AtomicU64,
-}
-
-// Safety: `head`/`tail` ordering (release on publish, acquire on observe)
-// ensures a slot is only read after its write completed and only reused
-// after its read completed; the SPSC contract (one pushing thread, one
-// popping thread) is upheld by construction — each rank thread owns its
-// ring's producer side, the aggregator owns every consumer side.
-unsafe impl Sync for EventRing {}
-unsafe impl Send for EventRing {}
-
-impl EventRing {
-    fn new(capacity: usize) -> Self {
-        let slots = (0..capacity.max(2))
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            slots,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Producer side. Returns `false` (and counts a drop) when full.
-    #[inline]
-    pub fn push(&self, ev: TelEvent) -> bool {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) >= self.slots.len() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let slot = &self.slots[tail % self.slots.len()];
-        // Safety: the slot is ours — the consumer will not read it until the
-        // tail store below publishes it, and cannot lap us (capacity check).
-        unsafe { (*slot.get()).write(ev) };
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
-        true
-    }
-
-    /// Consumer side.
-    #[inline]
-    pub fn pop(&self) -> Option<TelEvent> {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        let slot = &self.slots[head % self.slots.len()];
-        // Safety: tail's release store made this slot's write visible;
-        // TelEvent is Copy, so reading it out needs no drop bookkeeping.
-        let ev = unsafe { (*slot.get()).assume_init_read() };
-        self.head.store(head.wrapping_add(1), Ordering::Release);
-        Some(ev)
-    }
-
-    /// Events discarded because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// A rank's producer handle: clones share the same ring, so a rank's split
-/// sub-communicators and its span guards all feed one channel.
-#[derive(Clone)]
-pub struct RankTelemetry {
-    rank: u32,
-    ring: Arc<EventRing>,
-}
-
-impl RankTelemetry {
-    /// Emits one event (non-blocking; drops on overflow).
-    #[inline]
-    pub fn emit(&self, tag: &str, kind: TelEventKind) {
-        self.ring.push(TelEvent {
-            rank: self.rank,
-            tag: FlightTag::new(tag),
-            kind,
-        });
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Mode / kind classification
@@ -250,20 +109,15 @@ fn kind_index(kind: CollKind) -> usize {
 // Aggregator state
 // ---------------------------------------------------------------------------
 
+/// What the aggregator knows about one rank.
 #[derive(Clone, Debug, Default)]
 struct RankState {
-    last_phase: String,
-    posted: u64,
-    done: u64,
-    retries: u64,
-    steps_started: u64,
-    steps_done: u64,
-    modes_local: u64,
-    modes_remote: u64,
-    bytes_sent: u64,
-    bytes_recv: u64,
-    /// Live span stack, reconstructed from push/pop events.
-    stack: Vec<String>,
+    /// The log's tally at the last visit.
+    tally: Tally,
+    /// The log's open span tags at the last visit, outermost first.
+    stack: Vec<FlightTag>,
+    /// Profile segments already folded into the matrix.
+    segments: usize,
     /// Aggregator ticks spent with each span (or `(no span)`) on top.
     occupancy: BTreeMap<String, u64>,
     /// `(t, cumulative bytes_sent)` samples inside [`RATE_WINDOW`].
@@ -275,7 +129,9 @@ struct AggState {
     run_id: u64,
     running: bool,
     epoch: Instant,
-    rings: Vec<Arc<EventRing>>,
+    /// The rank logs of the current run, in world-rank order (empty once
+    /// the run is sealed).
+    logs: Vec<Arc<Mutex<RankLog>>>,
     ranks: Vec<RankState>,
     /// `(kind index, mode index)` → row-major `p×p` byte matrix
     /// (`cells[src * p + dst]`).
@@ -283,11 +139,9 @@ struct AggState {
     /// Folded span stacks: `"rank N;outer;inner" → samples`.
     folded: BTreeMap<String, u64>,
     ticks: u64,
-    total_bytes_sent: u64,
     window: VecDeque<(Instant, u64)>,
     mem_live: u64,
     mem_peak: u64,
-    dropped_drained: u64,
 }
 
 impl AggState {
@@ -297,61 +151,50 @@ impl AggState {
             run_id: 0,
             running: false,
             epoch: Instant::now(),
-            rings: Vec::new(),
+            logs: Vec::new(),
             ranks: Vec::new(),
             matrix: BTreeMap::new(),
             folded: BTreeMap::new(),
             ticks: 0,
-            total_bytes_sent: 0,
             window: VecDeque::new(),
             mem_live: 0,
             mem_peak: 0,
-            dropped_drained: 0,
         }
     }
 
-    fn apply(&mut self, ev: TelEvent) {
+    /// Visits every rank log: copies its tally and span stack, and folds
+    /// each profile segment added since the last visit into the matrix.
+    /// `bytes_to` is keyed by world rank, which is what the matrix indexes,
+    /// so split communicators land in the right cells. Lock order: the
+    /// state lock, then one rank log at a time; rank threads never take
+    /// the state lock.
+    fn read(&mut self) {
         let p = self.p;
-        let Some(rs) = self.ranks.get_mut(ev.rank as usize) else {
-            return; // stale handle from a previous run
-        };
-        let tag = ev.tag.as_str();
-        match ev.kind {
-            TelEventKind::Flight(f) => {
-                rs.last_phase = tag.to_string();
-                match f {
-                    FlightEventKind::CollPosted { .. } => rs.posted += 1,
-                    FlightEventKind::CollDone { sent, recv, .. } => {
-                        rs.done += 1;
-                        rs.bytes_sent += sent;
-                        rs.bytes_recv += recv;
-                        self.total_bytes_sent += sent;
-                    }
-                    FlightEventKind::Retry { .. } => rs.retries += 1,
-                    FlightEventKind::TileMode { remote, .. } => {
-                        if remote {
-                            rs.modes_remote += 1;
-                        } else {
-                            rs.modes_local += 1;
-                        }
-                    }
-                    FlightEventKind::StepStart { .. } => rs.steps_started += 1,
-                    FlightEventKind::StepEnd { .. } => rs.steps_done += 1,
+        for (src, (log, rs)) in self.logs.iter().zip(&mut self.ranks).enumerate() {
+            let log = lock(log);
+            rs.tally = log.tally;
+            rs.stack.clone_from(&log.spans);
+            let segments = &log.profile.segments;
+            for rec in segments[rs.segments..]
+                .iter()
+                .filter_map(|s| s.coll.as_ref())
+            {
+                // A collective that sent nothing opens no all-zero slice.
+                if rec.bytes_to.is_empty() {
+                    continue;
                 }
-            }
-            TelEventKind::Edge { dst, kind, bytes } => {
-                let (src, dst) = (ev.rank as usize, dst as usize);
-                if src < p && dst < p {
-                    let key = (kind_index(kind), mode_index(tag));
-                    let cells = self.matrix.entry(key).or_insert_with(|| vec![0; p * p]);
+                let key = (kind_index(rec.kind), mode_index(&rec.tag));
+                let cells = self.matrix.entry(key).or_insert_with(|| vec![0; p * p]);
+                for &(dst, bytes) in &rec.bytes_to {
                     cells[src * p + dst] += bytes;
                 }
             }
-            TelEventKind::SpanPush => rs.stack.push(tag.to_string()),
-            TelEventKind::SpanPop => {
-                rs.stack.pop();
-            }
+            rs.segments = segments.len();
         }
+    }
+
+    fn total_bytes_sent(&self) -> u64 {
+        self.ranks.iter().map(|rs| rs.tally.bytes_sent).sum()
     }
 
     /// One sampling tick: span stacks → folded counts + occupancy, memory
@@ -359,17 +202,17 @@ impl AggState {
     fn sample(&mut self, now: Instant) {
         self.ticks += 1;
         for (rank, rs) in self.ranks.iter_mut().enumerate() {
-            let top = rs.stack.last().map(String::as_str).unwrap_or("(no span)");
+            let top = rs.stack.last().map_or("(no span)", FlightTag::as_str);
             *rs.occupancy.entry(top.to_string()).or_insert(0) += 1;
             if !rs.stack.is_empty() {
                 let mut key = format!("rank {rank}");
                 for frame in &rs.stack {
                     key.push(';');
-                    key.push_str(frame);
+                    key.push_str(frame.as_str());
                 }
                 *self.folded.entry(key).or_insert(0) += 1;
             }
-            rs.window.push_back((now, rs.bytes_sent));
+            rs.window.push_back((now, rs.tally.bytes_sent));
             while rs
                 .window
                 .front()
@@ -378,7 +221,8 @@ impl AggState {
                 rs.window.pop_front();
             }
         }
-        self.window.push_back((now, self.total_bytes_sent));
+        let total = self.total_bytes_sent();
+        self.window.push_back((now, total));
         while self
             .window
             .front()
@@ -390,7 +234,6 @@ impl AggState {
             self.mem_live = alloc::live_bytes();
             self.mem_peak = self.mem_peak.max(alloc::peak_bytes());
         }
-        self.dropped_drained = self.rings.iter().map(|r| r.dropped()).sum();
     }
 
     fn snapshot(&self) -> TelemetrySnapshot {
@@ -407,35 +250,37 @@ impl AggState {
             run_id: self.run_id,
             running: self.running,
             uptime_secs: self.epoch.elapsed().as_secs_f64(),
-            dropped_events: self.dropped_drained,
             mem_live_bytes: self.mem_live,
             mem_peak_bytes: self.mem_peak,
-            total_bytes_sent: self.total_bytes_sent,
+            total_bytes_sent: self.total_bytes_sent(),
             send_rate_bps: rate(&self.window),
             ticks: self.ticks,
             ranks: self
                 .ranks
                 .iter()
                 .enumerate()
-                .map(|(rank, rs)| RankSnapshot {
-                    rank,
-                    phase: rs.last_phase.clone(),
-                    posted: rs.posted,
-                    done: rs.done,
-                    retries: rs.retries,
-                    steps_started: rs.steps_started,
-                    steps_done: rs.steps_done,
-                    modes_local: rs.modes_local,
-                    modes_remote: rs.modes_remote,
-                    bytes_sent: rs.bytes_sent,
-                    bytes_recv: rs.bytes_recv,
-                    send_rate_bps: rate(&rs.window),
-                    stack: rs.stack.clone(),
-                    occupancy: rs
-                        .occupancy
-                        .iter()
-                        .map(|(tag, &n)| (tag.clone(), n as f64 / self.ticks.max(1) as f64))
-                        .collect(),
+                .map(|(rank, rs)| {
+                    let t = &rs.tally;
+                    RankSnapshot {
+                        rank,
+                        phase: t.phase.as_str().to_string(),
+                        posted: t.posted,
+                        done: t.done,
+                        retries: t.retries,
+                        steps_started: t.steps_started,
+                        steps_done: t.steps_done,
+                        modes_local: t.modes_local,
+                        modes_remote: t.modes_remote,
+                        bytes_sent: t.bytes_sent,
+                        bytes_recv: t.bytes_recv,
+                        send_rate_bps: rate(&rs.window),
+                        stack: rs.stack.iter().map(|f| f.as_str().to_string()).collect(),
+                        occupancy: rs
+                            .occupancy
+                            .iter()
+                            .map(|(tag, &n)| (tag.clone(), n as f64 / self.ticks.max(1) as f64))
+                            .collect(),
+                    }
                 })
                 .collect(),
             matrix: self
@@ -461,8 +306,8 @@ impl AggState {
 #[derive(Clone, Debug)]
 pub struct RankSnapshot {
     pub rank: usize,
-    /// Tag of the most recent flight-derived event — the phase the rank is
-    /// in (or died in).
+    /// Tag of the most recent flight event — the phase the rank is in (or
+    /// died in).
     pub phase: String,
     pub posted: u64,
     pub done: u64,
@@ -526,13 +371,11 @@ impl MatrixSlice {
 pub struct TelemetrySnapshot {
     /// Rank count of the current (or last) run; 0 before any run began.
     pub p: usize,
-    /// Monotone run counter (increments at every [`Telemetry::begin_run`]).
+    /// Monotone run counter (increments at every [`crate::World`] run).
     pub run_id: u64,
-    /// False once [`Telemetry::end_run`] sealed the run.
+    /// False once the run's `World` call sealed it.
     pub running: bool,
     pub uptime_secs: f64,
-    /// Events lost to ring overflow (0 in a healthy run).
-    pub dropped_events: u64,
     pub mem_live_bytes: u64,
     pub mem_peak_bytes: u64,
     pub total_bytes_sent: u64,
@@ -605,12 +448,6 @@ impl TelemetrySnapshot {
             "gauge",
             "seconds since the run began",
             format!("{:.6}", self.uptime_secs),
-        );
-        scalar(
-            "tsgemm_telemetry_dropped_events_total",
-            "counter",
-            "events lost to ring overflow",
-            self.dropped_events.to_string(),
         );
         scalar(
             "tsgemm_telemetry_samples_total",
@@ -775,14 +612,13 @@ impl TelemetrySnapshot {
         let mut out = String::from("{");
         out.push_str(&format!(
             "\"p\":{},\"run_id\":{},\"running\":{},\"uptime_secs\":{},\
-             \"dropped_events\":{},\"ticks\":{},\
+             \"ticks\":{},\
              \"mem\":{{\"live_bytes\":{},\"peak_bytes\":{}}},\
              \"bytes_sent_total\":{},\"send_rate_bps\":{}",
             self.p,
             self.run_id,
             self.running,
             json_f64(self.uptime_secs),
-            self.dropped_events,
             self.ticks,
             self.mem_live_bytes,
             self.mem_peak_bytes,
@@ -890,9 +726,6 @@ struct Shared {
     addr: SocketAddr,
     sample_every: Duration,
     state: Mutex<AggState>,
-    /// Incremented by the aggregator after each complete drain+sample pass;
-    /// [`Telemetry::sync`] waits on it.
-    drain_gen: AtomicU64,
 }
 
 /// Handle to the process-wide telemetry service (aggregator + endpoint).
@@ -909,7 +742,6 @@ impl Telemetry {
             addr: listener.local_addr()?,
             sample_every: sample_every.max(Duration::from_micros(100)),
             state: Mutex::new(AggState::new()),
-            drain_gen: AtomicU64::new(0),
         });
         let agg = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -929,52 +761,28 @@ impl Telemetry {
         self.shared.addr
     }
 
-    /// Starts a run of `p` ranks: resets the aggregate state and hands out
-    /// one fresh producer ring per rank. Handles from earlier runs keep
-    /// working (their ring is simply no longer drained) but feed nothing.
-    pub fn begin_run(&self, p: usize) -> Vec<RankTelemetry> {
+    /// Starts a run over `logs`, one per rank in world-rank order: resets
+    /// the aggregate state, and the aggregator reads these logs until
+    /// [`Telemetry::end_run`].
+    pub(crate) fn begin_run(&self, logs: &[Arc<Mutex<RankLog>>]) {
         let mut st = lock(&self.shared.state);
         let run_id = st.run_id + 1;
         *st = AggState::new();
-        st.p = p;
+        st.p = logs.len();
         st.run_id = run_id;
         st.running = true;
-        st.rings = (0..p)
-            .map(|_| Arc::new(EventRing::new(RING_CAPACITY)))
-            .collect();
-        st.ranks = vec![RankState::default(); p];
-        st.rings
-            .iter()
-            .enumerate()
-            .map(|(rank, ring)| RankTelemetry {
-                rank: rank as u32,
-                ring: Arc::clone(ring),
-            })
-            .collect()
+        st.logs = logs.to_vec();
+        st.ranks = vec![RankState::default(); logs.len()];
     }
 
-    /// Seals the current run: waits for the aggregator to drain everything
-    /// the ranks emitted, marks the run finished, and returns the final
-    /// snapshot. The endpoint keeps serving this state until the next
-    /// [`Telemetry::begin_run`].
-    pub fn end_run(&self) -> TelemetrySnapshot {
-        self.sync();
+    /// Seals the current run: reads every rank log one last time, lets go
+    /// of the logs and marks the run finished. The endpoint keeps serving
+    /// this final state until the next run begins.
+    pub(crate) fn end_run(&self) {
         let mut st = lock(&self.shared.state);
+        st.read();
+        st.logs.clear();
         st.running = false;
-        st.snapshot()
-    }
-
-    /// Blocks until the aggregator has completed two full passes (so every
-    /// event pushed before this call has been folded in), or [`SYNC_TIMEOUT`].
-    pub fn sync(&self) {
-        let start_gen = self.shared.drain_gen.load(Ordering::Acquire);
-        let deadline = Instant::now() + SYNC_TIMEOUT;
-        while self.shared.drain_gen.load(Ordering::Acquire) < start_gen + 2 {
-            if Instant::now() > deadline {
-                return;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
     }
 
     /// A point-in-time view of the aggregate state.
@@ -987,24 +795,11 @@ fn aggregator_loop(shared: &Shared) {
     loop {
         {
             let mut st = lock(&shared.state);
-            // Drain all rings, then take one sample tick. Bounded per ring
-            // per pass so a pathological producer cannot starve sampling.
-            let rings: Vec<Arc<EventRing>> = st.rings.clone();
-            for ring in &rings {
-                let mut budget = RING_CAPACITY;
-                while budget > 0 {
-                    match ring.pop() {
-                        Some(ev) => st.apply(ev),
-                        None => break,
-                    }
-                    budget -= 1;
-                }
-            }
             if st.running {
+                st.read();
                 st.sample(Instant::now());
             }
         }
-        shared.drain_gen.fetch_add(1, Ordering::Release);
         std::thread::sleep(shared.sample_every);
     }
 }
@@ -1120,120 +915,66 @@ pub fn global() -> Option<&'static Telemetry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::{FlightEventKind, DEFAULT_FLIGHT_CAPACITY};
+    use crate::stats::{CollectiveRecord, GroupInfo};
 
     fn tel() -> Telemetry {
         Telemetry::bind("127.0.0.1:0", Duration::from_micros(200)).unwrap()
     }
 
-    fn ev(rank: u32, tag: &str, kind: TelEventKind) -> TelEvent {
-        TelEvent {
-            rank,
-            tag: FlightTag::new(tag),
-            kind,
-        }
+    /// `p` rank logs, as `World` builds them.
+    fn logs(p: usize) -> Vec<Arc<Mutex<RankLog>>> {
+        (0..p)
+            .map(|rank| Arc::new(Mutex::new(RankLog::new(rank))))
+            .collect()
     }
 
-    #[test]
-    fn ring_is_fifo_and_bounded() {
-        let r = EventRing::new(4);
-        for i in 0..6u64 {
-            r.push(ev(
-                0,
-                "t",
-                TelEventKind::Edge {
-                    dst: 0,
-                    kind: CollKind::Barrier,
-                    bytes: i,
-                },
-            ));
-        }
-        // Capacity 4: two pushes dropped.
-        assert_eq!(r.dropped(), 2);
-        let mut got = Vec::new();
-        while let Some(e) = r.pop() {
-            match e.kind {
-                TelEventKind::Edge { bytes, .. } => got.push(bytes),
-                _ => unreachable!(),
-            }
-        }
-        assert_eq!(got, vec![0, 1, 2, 3]);
-        assert!(r.pop().is_none());
-    }
-
-    #[test]
-    fn ring_cross_thread_stress_preserves_order() {
-        let r = Arc::new(EventRing::new(256));
-        let n = 20_000u64;
-        let prod = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                for i in 0..n {
-                    while !r.push(ev(
-                        0,
-                        "s",
-                        TelEventKind::Edge {
-                            dst: 0,
-                            kind: CollKind::Barrier,
-                            bytes: i,
-                        },
-                    )) {
-                        std::hint::spin_loop();
-                    }
-                }
-            })
+    /// A completed collective in which the log's rank sent `bytes` to
+    /// world rank `dst`.
+    fn send(log: &Mutex<RankLog>, tag: &str, dst: usize, bytes: u64) {
+        let rec = CollectiveRecord {
+            kind: CollKind::AllToAllV,
+            tag: tag.to_string(),
+            group: Arc::new(GroupInfo {
+                world_ranks: Vec::new(),
+            }),
+            bytes_to: vec![(dst, bytes)],
+            bytes_received: 0,
+            recv_msgs: 0,
+            uniform_bytes: 0,
+            wait_secs: 0.0,
+            injected_delay_secs: 0.0,
+            entered_secs: 0.0,
         };
-        let mut expected = 0u64;
-        while expected < n {
-            if let Some(e) = r.pop() {
-                match e.kind {
-                    TelEventKind::Edge { bytes, .. } => {
-                        assert_eq!(bytes, expected);
-                        expected += 1;
-                    }
-                    _ => unreachable!(),
-                }
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        prod.join().unwrap();
-        // Note: `dropped` is not asserted — the producer's retry loop counts
-        // every full-ring attempt, which real (no-retry) emitters never do.
+        lock(log).coll_done(0, rec, Instant::now());
+    }
+
+    /// One aggregator tick on the calling thread.
+    fn tick(t: &Telemetry) {
+        let mut st = lock(&t.shared.state);
+        st.read();
+        st.sample(Instant::now());
     }
 
     #[test]
     fn aggregator_builds_matrix_and_stacks() {
         let t = tel();
-        let handles = t.begin_run(2);
-        handles[0].emit(
-            "ts:bfetch",
-            TelEventKind::Edge {
-                dst: 1,
-                kind: CollKind::AllToAllV,
-                bytes: 96,
-            },
-        );
-        handles[1].emit(
-            "ts:cret",
-            TelEventKind::Edge {
-                dst: 0,
-                kind: CollKind::AllToAllV,
-                bytes: 32,
-            },
-        );
-        handles[0].emit(
-            "ts",
-            TelEventKind::Flight(FlightEventKind::CollPosted {
-                seq: 0,
-                kind: CollKind::Barrier,
-            }),
-        );
-        handles[0].emit("ts:kernel", TelEventKind::SpanPush);
-        t.sync();
-        // Spans are sampled while open: wait a couple of ticks, then close.
-        t.sync();
-        handles[0].emit("ts:kernel", TelEventKind::SpanPop);
-        let snap = t.end_run();
+        let logs = logs(2);
+        t.begin_run(&logs);
+        let posted = FlightEventKind::CollPosted {
+            seq: 0,
+            kind: CollKind::AllToAllV,
+        };
+        lock(&logs[0]).event("ts:bfetch", posted);
+        send(&logs[0], "ts:bfetch", 1, 96);
+        send(&logs[1], "ts:cret", 0, 32);
+        lock(&logs[0]).event("ts", posted);
+        // Spans are sampled while open: tick once, then close.
+        lock(&logs[0]).span_open("ts:kernel");
+        tick(&t);
+        lock(&logs[0]).span_close("ts:kernel".into(), Instant::now(), false);
+        t.end_run();
+        let snap = t.snapshot();
         assert_eq!(snap.p, 2);
         assert!(!snap.running);
         assert_eq!(snap.matrix_bytes(None, Some("local")), 96);
@@ -1249,31 +990,26 @@ mod tests {
         assert_eq!(local.col_sum(1), 96);
         assert_eq!(snap.ranks[0].phase, "ts");
         assert_eq!(snap.ranks[0].queue_depth(), 1);
+        assert!(snap.ranks[0].stack.is_empty());
         // The open span was sampled at least once into the folded stacks.
         assert!(
             snap.folded.keys().any(|k| k == "rank 0;ts:kernel"),
             "folded: {:?}",
             snap.folded
         );
-        assert_eq!(snap.dropped_events, 0);
     }
 
     #[test]
     fn begin_run_resets_state_and_bumps_run_id() {
         let t = tel();
-        let h = t.begin_run(1);
-        h[0].emit(
-            "x",
-            TelEventKind::Edge {
-                dst: 0,
-                kind: CollKind::Bcast,
-                bytes: 7,
-            },
-        );
-        let first = t.end_run();
-        assert_eq!(first.run_id, 1);
-        assert_eq!(first.matrix_bytes(None, None), 7);
-        let _h2 = t.begin_run(3);
+        let first = logs(1);
+        t.begin_run(&first);
+        send(&first[0], "x", 0, 7);
+        t.end_run();
+        let snap = t.snapshot();
+        assert_eq!(snap.run_id, 1);
+        assert_eq!(snap.matrix_bytes(None, None), 7);
+        t.begin_run(&logs(3));
         let snap = t.snapshot();
         assert_eq!(snap.run_id, 2);
         assert_eq!(snap.p, 3);
@@ -1282,38 +1018,42 @@ mod tests {
     }
 
     #[test]
-    fn stale_handles_from_previous_runs_are_harmless() {
+    fn counts_stay_exact_after_the_flight_ring_wraps() {
         let t = tel();
-        let old = t.begin_run(2);
-        let _new = t.begin_run(1);
-        // Old handle's ring is orphaned; rank 1 is also out of range now.
-        old[1].emit(
-            "x",
-            TelEventKind::Edge {
-                dst: 0,
-                kind: CollKind::Bcast,
-                bytes: 100,
-            },
+        let logs = logs(1);
+        t.begin_run(&logs);
+        let n = 3 * DEFAULT_FLIGHT_CAPACITY as u64;
+        for i in 0..n {
+            let mode = FlightEventKind::TileMode {
+                rb: 0,
+                cb: i as u32,
+                peer: 0,
+                remote: i % 3 == 0,
+            };
+            lock(&logs[0]).event("ts:modes", mode);
+        }
+        t.end_run();
+        let ring = &lock(&logs[0]).flight;
+        assert_eq!(ring.total_recorded(), n);
+        assert_eq!(ring.in_order().count(), DEFAULT_FLIGHT_CAPACITY);
+        let live = &t.snapshot().ranks[0];
+        assert_eq!(live.modes_remote, n / 3);
+        assert_eq!(live.modes_local, n - n / 3);
+        assert_eq!(
+            Arc::strong_count(&logs[0]),
+            1,
+            "end_run must let go of the rank logs"
         );
-        let snap = t.end_run();
-        assert_eq!(snap.matrix_bytes(None, None), 0);
     }
 
     #[test]
     fn http_endpoint_serves_all_routes() {
         let t = tel();
-        let h = t.begin_run(2);
-        h[0].emit(
-            "ts:bfetch",
-            TelEventKind::Edge {
-                dst: 1,
-                kind: CollKind::AllToAllV,
-                bytes: 64,
-            },
-        );
-        h[0].emit("ts:pack", TelEventKind::SpanPush);
-        t.sync();
-        t.sync();
+        let logs = logs(2);
+        t.begin_run(&logs);
+        send(&logs[0], "ts:bfetch", 1, 64);
+        lock(&logs[0]).span_open("ts:pack");
+        tick(&t);
 
         let get = |path: &str| -> (String, String) {
             let mut s = TcpStream::connect(t.addr()).unwrap();
@@ -1345,13 +1085,13 @@ mod tests {
 
         let (head, _) = get("/nope");
         assert!(head.starts_with("HTTP/1.0 404"));
-        let _ = t.end_run();
+        t.end_run();
     }
 
     #[test]
     fn prometheus_families_are_declared_before_samples() {
         let t = tel();
-        let _h = t.begin_run(2);
+        t.begin_run(&logs(2));
         let text = t.snapshot().to_prometheus();
         let mut declared = std::collections::BTreeSet::new();
         for line in text.lines() {
@@ -1362,7 +1102,7 @@ mod tests {
                 assert!(declared.contains(name), "sample before TYPE: {line}");
             }
         }
-        let _ = t.end_run();
+        t.end_run();
     }
 
     #[test]
@@ -1377,13 +1117,11 @@ mod tests {
     #[test]
     fn snapshot_json_is_parseable_shape() {
         let t = tel();
-        let h = t.begin_run(1);
-        h[0].emit(
-            "a\"b",
-            TelEventKind::Flight(FlightEventKind::StepStart { rb: 0, cb: 0 }),
-        );
-        let snap = t.end_run();
-        let json = snap.to_json();
+        let logs = logs(1);
+        t.begin_run(&logs);
+        lock(&logs[0]).event("a\"b", FlightEventKind::StepStart { rb: 0, cb: 0 });
+        t.end_run();
+        let json = t.snapshot().to_json();
         // Escaped quote survives, braces balance.
         assert!(json.contains("a\\\"b"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -310,8 +310,7 @@ mod tests {
     fn sample_run() -> (Vec<RankProfile>, Vec<MetricsRegistry>) {
         let out = World::run_traced(3, TraceConfig::enabled(), |comm| {
             comm.add_flops(100);
-            let t = std::time::Instant::now();
-            comm.record_span("phase:a", t);
+            comm.span(|| "phase:a".to_string()).end();
             let sends: Vec<Vec<u64>> = (0..3).map(|d| vec![d as u64; comm.rank() + 1]).collect();
             comm.alltoallv(sends, "phase:x");
             comm.metrics(|m| m.counter_add("phase:x", "retries", comm.rank() as u64));
@@ -449,10 +448,7 @@ mod tests {
     #[test]
     fn spans_only_recorded_when_traced() {
         let out = World::run(2, |comm| {
-            let t = std::time::Instant::now();
-            if comm.trace_on() {
-                comm.record_span("never", t);
-            }
+            comm.span(|| "never".to_string()).end();
             comm.barrier("b");
         });
         assert!(out.profiles.iter().all(|p| p.spans.is_empty()));

@@ -309,13 +309,13 @@ impl World {
         assert!(p > 0, "need at least one rank");
         let group = GroupShared::new((0..p).collect());
         let telemetry = crate::telemetry::global();
-        let mut tels = telemetry
-            .map(|t| t.begin_run(p))
-            .unwrap_or_default()
-            .into_iter();
+        let live = telemetry.is_some();
         let logs: Vec<Arc<Mutex<RankLog>>> = (0..p)
-            .map(|rank| Arc::new(Mutex::new(RankLog::new(rank, tels.next()))))
+            .map(|rank| Arc::new(Mutex::new(RankLog::new(rank))))
             .collect();
+        if let Some(t) = telemetry {
+            t.begin_run(&logs);
+        }
 
         let outcomes: Vec<RankOutcome<R>> = std::thread::scope(|scope| {
             let handles: Vec<_> = logs
@@ -324,7 +324,8 @@ impl World {
                 .map(|(rank, log)| {
                     let (group, f, enter, exit) = (&group, &f, &enter, &exit);
                     scope.spawn(move || {
-                        let mut comm = Comm::new(Arc::clone(group), rank, Arc::clone(log), trace);
+                        let mut comm =
+                            Comm::new(Arc::clone(group), rank, Arc::clone(log), trace, live);
                         enter(&mut comm);
                         let out = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
                         exit(rank, &out, group);
@@ -343,9 +344,9 @@ impl World {
 
         if let Some(t) = telemetry {
             // Seal the run, failed or not: the endpoint keeps serving this
-            // final state, and a crashed rank's ring was drained up to the
-            // collective that killed it.
-            let _ = t.end_run();
+            // final state, read after every rank stopped, and the logs are
+            // released before they are split below.
+            t.end_run();
         }
         let mut launched = Launched {
             outcomes,

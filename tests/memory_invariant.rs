@@ -216,14 +216,14 @@ fn empty_alltoallv_allocations_do_not_grow_with_p() {
 }
 
 /// Telemetry's zero-cost-when-off contract: with `TSGEMM_TELEMETRY_ADDR`
-/// unset, [`telemetry::global`] constructs nothing — no rings, no thread,
-/// no socket — and steady-state calls (one per `World::run`) are
+/// unset, [`telemetry::global`] constructs nothing — no aggregator, no
+/// thread, no socket — and steady-state calls (one per `World::run`) are
 /// allocation-free, pinned by the counting allocator. This test must live
 /// in this binary (its environment never sets the variable), because the
 /// global is a process-wide `OnceLock` decided at first touch. It counts
-/// the calling thread's allocations only: building rings or spawning a
-/// thread would allocate on this thread, while the test harness starting
-/// or retiring other test threads must not count.
+/// the calling thread's allocations only: building the aggregator or
+/// spawning a thread would allocate on this thread, while the test
+/// harness starting or retiring other test threads must not count.
 #[test]
 fn telemetry_disabled_constructs_nothing_and_never_allocates() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
