@@ -98,11 +98,6 @@ impl<T: Copy + Send + 'static> DistCsr<T> {
         let entries: Vec<(Idx, Idx, T)> = all.into_iter().flatten().collect();
         Coo::from_entries(self.dist.n(), self.ncols(), entries).into_csr::<S>()
     }
-
-    /// Total nonzeros across all ranks.
-    pub fn global_nnz(&self, comm: &mut Comm) -> u64 {
-        comm.allreduce(self.local.nnz() as u64, |a, b| a + b, "gather:nnz")
-    }
 }
 
 /// Buckets a replicated global COO by owning rank in one pass, shifting row

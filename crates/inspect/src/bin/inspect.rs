@@ -3,7 +3,6 @@
 //! ```text
 //! inspect imbalance <trace-dir>                 per-rank critical path + stragglers
 //! inspect drift <trace-dir> [--tol 0%]          predicted vs measured bytes
-//! inspect regress --baseline A.json --current B.json [--tol 10%]
 //! inspect html <trace-dir> [--out report.html] [--title T]
 //! inspect lint-trace <trace-dir>                metrics/trace phase consistency
 //! inspect lint-prom <file>                      Prometheus exposition lint
@@ -16,19 +15,18 @@
 //! written by `write_trace_files` (and optionally `flight.jsonl`). `<addr>`
 //! is the `TSGEMM_TELEMETRY_ADDR` endpoint of a running job.
 //!
-//! Exit codes: 0 ok; 1 gate failed (regression, drift over tolerance, lint
-//! error); 2 usage or I/O error.
+//! Exit codes: 0 ok; 1 gate failed (drift over tolerance, lint error); 2
+//! usage or I/O error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tsgemm_inspect::{
-    drift, flame, html, imbalance, lint, load_json, load_metrics_jsonl, load_trace, prom, top,
+    drift, flame, html, imbalance, lint, load_metrics_jsonl, load_trace, prom, top,
 };
 
 const USAGE: &str = "usage:
   inspect imbalance <trace-dir>
   inspect drift <trace-dir> [--tol PCT]
-  inspect regress --baseline FILE --current FILE [--tol PCT]
   inspect html <trace-dir> [--out FILE] [--title TITLE]
   inspect lint-trace <trace-dir>
   inspect lint-prom FILE
@@ -82,7 +80,7 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
         }
         "drift" => {
             let tol = match take_flag(&mut args, "--tol")? {
-                Some(t) => tsgemm_inspect::regress::parse_tol(&t)?,
+                Some(t) => drift::parse_tol(&t)?,
                 None => 0.0, // the model is byte-exact by contract
             };
             let dir = trace_dir(&args)?;
@@ -93,26 +91,6 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
-            })
-        }
-        "regress" => {
-            let baseline = take_flag(&mut args, "--baseline")?
-                .ok_or_else(|| format!("--baseline is required\n{USAGE}"))?;
-            let current = take_flag(&mut args, "--current")?
-                .ok_or_else(|| format!("--current is required\n{USAGE}"))?;
-            let tol = match take_flag(&mut args, "--tol")? {
-                Some(t) => tsgemm_inspect::regress::parse_tol(&t)?,
-                None => 0.10,
-            };
-            let base = load_json(Path::new(&baseline))?;
-            let cur = load_json(Path::new(&current))?;
-            let rep = tsgemm_inspect::regress::compare(&base, &cur, tol);
-            print!("{}", tsgemm_inspect::regress::render(&rep));
-            Ok(if rep.regressed() {
-                eprintln!("inspect: performance regression beyond {:.1}%", tol * 100.0);
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
             })
         }
         "html" => {

@@ -70,6 +70,24 @@ pub fn analyze(ranks: &[RankMetrics], tol: f64) -> DriftReport {
     DriftReport { rows, tol }
 }
 
+/// Parses a tolerance argument: `"10%"` → 0.10, `"0.1"` → 0.1.
+pub fn parse_tol(s: &str) -> Result<f64, String> {
+    let (body, scale) = match s.strip_suffix('%') {
+        Some(b) => (b, 0.01),
+        None => (s, 1.0),
+    };
+    let v: f64 = body
+        .trim()
+        .parse()
+        .map_err(|_| format!("cannot parse tolerance {s:?} (want e.g. \"10%\" or \"0.1\")"))?;
+    if !(v * scale).is_finite() || v * scale < 0.0 {
+        return Err(format!(
+            "tolerance {s:?} must be a finite non-negative value"
+        ));
+    }
+    Ok(v * scale)
+}
+
 /// Renders the report as an aligned text table.
 pub fn render(report: &DriftReport) -> String {
     let mut out = String::new();
@@ -110,6 +128,14 @@ mod tests {
         let r = load_metrics_jsonl(&p).unwrap();
         std::fs::remove_file(&p).ok();
         r
+    }
+
+    #[test]
+    fn tolerance_parses_percent_and_fraction() {
+        assert_eq!(parse_tol("10%").unwrap(), 0.10);
+        assert_eq!(parse_tol("0.25").unwrap(), 0.25);
+        assert!(parse_tol("fast").is_err());
+        assert!(parse_tol("-1%").is_err());
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! `tsgemm-inspect`: offline diagnosis of tsgemm run artifacts.
 //!
-//! The runtime writes four artifact kinds — `trace.json` (Chrome trace),
-//! `metrics.jsonl` (per-rank `(phase, metric)` registries), `flight.jsonl`
-//! (per-rank flight-recorder rings) and `BENCH_*.json` (harness summaries).
+//! The runtime writes three artifact kinds — `trace.json` (Chrome trace),
+//! `metrics.jsonl` (per-rank `(phase, metric)` registries) and
+//! `flight.jsonl` (per-rank flight-recorder rings).
 //! This crate turns them into answers:
 //!
 //! * [`imbalance`] — per-rank critical paths and per-phase load imbalance
 //!   (who is the straggler, and in which phase);
 //! * [`drift`] — does the symbolic cost model's `predicted_bytes` match the
 //!   bytes the collectives actually moved;
-//! * [`regress`] — baseline-vs-current bench comparison with a tolerance,
-//!   nonzero exit on regression (the CI perf gate);
 //! * [`lint`] — cross-artifact consistency (every metrics phase must appear
 //!   in the trace, truncated flight tags are flagged);
 //! * [`html`] — a self-contained HTML report of all of the above;
@@ -30,7 +28,6 @@ pub mod imbalance;
 pub mod json;
 pub mod lint;
 pub mod prom;
-pub mod regress;
 pub mod top;
 
 pub use json::{parse, Json, JsonError};
@@ -138,13 +135,6 @@ pub fn load_trace(path: &Path) -> Result<Vec<TraceEvent>, String> {
         });
     }
     Ok(out)
-}
-
-/// Loads a whole-document JSON file (`BENCH_*.json`, `trace.json`).
-pub fn load_json(path: &Path) -> Result<Json, String> {
-    let body = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse(&body).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]

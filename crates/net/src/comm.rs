@@ -38,7 +38,7 @@ use crate::flight::{FlightEventKind, FlightRecorder};
 use crate::metrics::MetricsRegistry;
 use crate::rank_log::{lock, RankLog};
 use crate::slab::{Declare, Payload, Slab, Wake};
-use crate::stats::{CollKind, CollectiveRecord, GroupInfo, RankProfile};
+use crate::stats::{CollKind, CollectiveRecord, GroupInfo};
 use crate::trace::TraceConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -70,6 +70,17 @@ impl EntryFx {
             tamper: None,
         }
     }
+}
+
+/// The payload bytes one rank moved in one collective, as
+/// [`CollectiveRecord`] stores them; a call site names only its non-zero
+/// fields.
+#[derive(Default)]
+struct Traffic {
+    bytes_to: Vec<(usize, u64)>,
+    bytes_received: u64,
+    recv_msgs: u32,
+    uniform_bytes: u64,
 }
 
 /// The collective a rank is inside: what errors and park reports name.
@@ -228,17 +239,10 @@ impl Comm {
     }
 
     /// Notes the compute working set of the kernel whose flops are being
-    /// credited (see [`RankProfile::note_working_set`]).
+    /// credited (see
+    /// [`RankProfile::note_working_set`](crate::stats::RankProfile::note_working_set)).
     pub fn note_working_set(&self, bytes: u64) {
         lock(&self.log).profile.note_working_set(bytes);
-    }
-
-    /// Read access to this rank's profile so far (e.g. for per-iteration
-    /// statistics inside applications). Like [`Comm::metrics`] and
-    /// [`Comm::flight`], `f` runs under the rank's log lock, so it must not
-    /// record through a communicator of the same rank.
-    pub fn with_profile<R>(&self, f: impl FnOnce(&RankProfile) -> R) -> R {
-        f(&lock(&self.log).profile)
     }
 
     /// True when trace instrumentation is enabled for this run. Algorithm
@@ -553,28 +557,17 @@ impl Comm {
             .filter(move |&w| w != me)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &self,
-        kind: CollKind,
-        tag: String,
-        bytes_to: Vec<(usize, u64)>,
-        bytes_received: u64,
-        recv_msgs: u32,
-        uniform_bytes: u64,
-        injected_delay_secs: f64,
-        entered: Instant,
-    ) {
+    fn record(&self, kind: CollKind, tag: String, t: Traffic, fx: &EntryFx, entered: Instant) {
         let rec = CollectiveRecord {
             kind,
             tag,
             group: Arc::clone(&self.group.info),
-            bytes_to,
-            bytes_received,
-            recv_msgs,
-            uniform_bytes,
+            bytes_to: t.bytes_to,
+            bytes_received: t.bytes_received,
+            recv_msgs: t.recv_msgs,
+            uniform_bytes: t.uniform_bytes,
             wait_secs: entered.elapsed().as_secs_f64(),
-            injected_delay_secs,
+            injected_delay_secs: fx.delay_secs,
             entered_secs: 0.0, // set by end_segment from the profile epoch
         };
         // `record` runs after `next_seq`, so the completed collective's
@@ -659,11 +652,13 @@ impl Comm {
         self.record(
             CollKind::AllToAllV,
             tag,
-            bytes_to,
-            received,
-            recv_msgs,
-            0,
-            fx.delay_secs,
+            Traffic {
+                bytes_to,
+                bytes_received: received,
+                recv_msgs,
+                ..Traffic::default()
+            },
+            &fx,
             entered,
         );
         Ok(recvs)
@@ -717,11 +712,13 @@ impl Comm {
         self.record(
             CollKind::AllGatherV,
             tag,
-            bytes_to,
-            received,
-            0,
-            own_bytes,
-            fx.delay_secs,
+            Traffic {
+                bytes_to,
+                bytes_received: received,
+                uniform_bytes: own_bytes,
+                ..Traffic::default()
+            },
+            &fx,
             entered,
         );
         Ok(out)
@@ -750,38 +747,25 @@ impl Comm {
         let entered = Instant::now();
         let (c, fx) = self.begin(CollKind::Bcast, &tag)?;
         let elem = std::mem::size_of::<T>() as u64;
-        if self.rank == root {
+        let (v, bytes_to, bytes_received) = if self.rank == root {
             let v = value.expect("root must supply the broadcast value");
             let posted = v.clone();
             self.exchange(&c, self.size() - 1, |_| Some(boxed(posted, &fx.tamper)))?;
-            let bytes_to = self.peers().map(|w| (w, elem)).collect();
-            self.record(
-                CollKind::Bcast,
-                tag,
-                bytes_to,
-                0,
-                0,
-                elem,
-                fx.delay_secs,
-                entered,
-            );
-            Ok(v)
+            (v, self.peers().map(|w| (w, elem)).collect(), 0)
         } else {
             assert!(value.is_none(), "non-root must pass None");
             self.exchange(&c, 0, |_| None)?;
             let v = self.read(&c, root, |payload, last| share_posted::<T>(payload, last))?;
-            self.record(
-                CollKind::Bcast,
-                tag,
-                Vec::new(),
-                elem,
-                0,
-                elem,
-                fx.delay_secs,
-                entered,
-            );
-            Ok(v)
-        }
+            (v, Vec::new(), elem)
+        };
+        let t = Traffic {
+            bytes_to,
+            bytes_received,
+            uniform_bytes: elem,
+            ..Traffic::default()
+        };
+        self.record(CollKind::Bcast, tag, t, &fx, entered);
+        Ok(v)
     }
 
     /// Broadcast of a variable-length buffer from `root`; non-roots pass an
@@ -809,7 +793,7 @@ impl Comm {
         let entered = Instant::now();
         let (c, fx) = self.begin(CollKind::Bcast, &tag)?;
         let elem = std::mem::size_of::<T>() as u64;
-        if self.rank == root {
+        let (v, bytes_to, bytes_received, uniform_bytes) = if self.rank == root {
             let bytes = data.len() as u64 * elem;
             let mut posted = data.clone();
             self.exchange(&c, self.size() - 1, |lens| {
@@ -822,33 +806,21 @@ impl Comm {
             } else {
                 Vec::new()
             };
-            self.record(
-                CollKind::Bcast,
-                tag,
-                bytes_to,
-                0,
-                0,
-                bytes,
-                fx.delay_secs,
-                entered,
-            );
-            Ok(data)
+            (data, bytes_to, 0, bytes)
         } else {
             self.exchange(&c, 0, |_| None)?;
             let v = self.read_vec::<T>(&c, root)?;
             let bytes = v.len() as u64 * elem;
-            self.record(
-                CollKind::Bcast,
-                tag,
-                Vec::new(),
-                bytes,
-                0,
-                bytes,
-                fx.delay_secs,
-                entered,
-            );
-            Ok(v)
-        }
+            (v, Vec::new(), bytes, bytes)
+        };
+        let t = Traffic {
+            bytes_to,
+            bytes_received,
+            uniform_bytes,
+            ..Traffic::default()
+        };
+        self.record(CollKind::Bcast, tag, t, &fx, entered);
+        Ok(v)
     }
 
     /// All-reduce with a user-supplied associative, commutative `op`.
@@ -896,11 +868,13 @@ impl Comm {
         self.record(
             CollKind::AllReduce,
             tag,
-            bytes_to,
-            elem * (self.size() as u64 - 1),
-            0,
-            elem,
-            fx.delay_secs,
+            Traffic {
+                bytes_to,
+                bytes_received: elem * (self.size() as u64 - 1),
+                uniform_bytes: elem,
+                ..Traffic::default()
+            },
+            &fx,
             entered,
         );
         Ok(acc.unwrap())
@@ -945,16 +919,11 @@ impl Comm {
                 received += v.len() as u64 * elem;
                 out.push(v);
             }
-            self.record(
-                CollKind::GatherV,
-                tag,
-                Vec::new(),
-                received,
-                0,
-                0,
-                fx.delay_secs,
-                entered,
-            );
+            let t = Traffic {
+                bytes_received: received,
+                ..Traffic::default()
+            };
+            self.record(CollKind::GatherV, tag, t, &fx, entered);
             Ok(Some(out))
         } else {
             let bytes = data.len() as u64 * elem;
@@ -969,16 +938,11 @@ impl Comm {
                 truncate(&mut data, &fx.tamper);
                 Some(boxed(data, &fx.tamper))
             })?;
-            self.record(
-                CollKind::GatherV,
-                tag,
+            let t = Traffic {
                 bytes_to,
-                0,
-                0,
-                0,
-                fx.delay_secs,
-                entered,
-            );
+                ..Traffic::default()
+            };
+            self.record(CollKind::GatherV, tag, t, &fx, entered);
             Ok(None)
         }
     }
@@ -995,16 +959,7 @@ impl Comm {
         let entered = Instant::now();
         let (c, fx) = self.begin(CollKind::Barrier, &tag)?;
         self.exchange(&c, 0, |_| None)?;
-        self.record(
-            CollKind::Barrier,
-            tag,
-            Vec::new(),
-            0,
-            0,
-            0,
-            fx.delay_secs,
-            entered,
-        );
+        self.record(CollKind::Barrier, tag, Traffic::default(), &fx, entered);
         Ok(())
     }
 

@@ -219,11 +219,6 @@ impl RankProfile {
     pub fn total_flops(&self) -> u64 {
         self.segments.iter().map(|s| s.flops).sum()
     }
-
-    /// Total measured compute seconds (excludes time inside collectives).
-    pub fn total_compute_secs(&self) -> f64 {
-        self.segments.iter().map(|s| s.compute_secs).sum()
-    }
 }
 
 /// Aggregates across a whole run (all ranks).

@@ -400,17 +400,6 @@ impl TelemetrySnapshot {
             .sum()
     }
 
-    /// The kind/mode-summed `p×p` matrix.
-    pub fn total_matrix(&self) -> Vec<u64> {
-        let mut cells = vec![0u64; self.p * self.p];
-        for s in &self.matrix {
-            for (c, v) in cells.iter_mut().zip(&s.cells) {
-                *c += v;
-            }
-        }
-        cells
-    }
-
     /// Prometheus text exposition (version 0.0.4).
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();

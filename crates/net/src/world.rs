@@ -53,22 +53,6 @@ impl<R> TryRunOutput<R> {
     pub fn all_ok(&self) -> bool {
         self.results.iter().all(|r| r.is_ok())
     }
-
-    /// Unwraps into a plain [`RunOutput`]; panics (with the first failure)
-    /// if any rank failed.
-    pub fn expect_ok(self) -> RunOutput<R> {
-        let results = self
-            .results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-            .collect();
-        RunOutput {
-            results,
-            profiles: self.profiles,
-            metrics: self.metrics,
-            flights: self.flights,
-        }
-    }
 }
 
 fn panic_cause(payload: &(dyn std::any::Any + Send)) -> String {

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use tsgemm::core::{ts_spgemm, BlockDist, ColBlocks, DistCsr, TsConfig};
 use tsgemm::net::World;
 use tsgemm::pool::{set_threads, ThreadPool};
-use tsgemm::sparse::gen::{erdos_renyi, random_tall};
+use tsgemm::sparse::gen::{erdos_renyi, random_tall, rmat, web_like, RMAT_WEB};
 use tsgemm::sparse::spgemm::{spgemm, spgemm_par_with, AccumChoice};
 use tsgemm::sparse::spmm::{spmm, spmm_par_with};
 use tsgemm::sparse::{BoolAndOr, Coo, Csr, DenseMat, Idx, PlusTimesF64, Sel2ndMinF64};
@@ -156,6 +156,12 @@ fn parallel_matches_sequential_on_named_generators() {
             let bcoo = random_tall(n, d, 0.6, 0xB0B ^ n as u64);
             check_all(&acoo, &bcoo);
         }
+    }
+    // The figure harnesses' web-crawl shapes: a crawl-ordered graph with
+    // host-local blocks (the uk/arabic stand-ins) and a power-law R-MAT.
+    for acoo in [web_like(10, 16.0, 0x901), rmat(10, 8.0, RMAT_WEB, 0xD15)] {
+        let bcoo = random_tall(acoo.nrows(), 64, 0.5, 0xF05);
+        check_all(&acoo, &bcoo);
     }
 }
 
