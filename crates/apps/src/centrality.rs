@@ -11,14 +11,13 @@
 //! `(reached − 1) / Σ distances` (the standard definition restricted to the
 //! reachable set).
 
-use crate::msbfs::{init_frontier_block, BfsIterStats};
+use crate::msbfs::{frontier_loop, init_frontier_block, BfsIterStats};
 use tsgemm_core::colpart::ColBlocks;
 use tsgemm_core::dist::DistCsr;
 use tsgemm_core::exec::{ts_spgemm, TsConfig};
 use tsgemm_net::Comm;
-use tsgemm_sparse::ewise::{andnot, union};
 use tsgemm_sparse::semiring::BoolAndOr;
-use tsgemm_sparse::{Csr, Idx};
+use tsgemm_sparse::{Coo, Csr, Idx, MinPlusF64};
 
 /// Runs multi-source BFS and returns this rank's rows of the **level
 /// matrix**: entry `(v, j)` is the BFS distance from `sources[j]` to `v`
@@ -32,26 +31,17 @@ pub fn msbfs_levels(
     tag: &str,
 ) -> (Csr<f64>, Vec<BfsIterStats>) {
     let dist = a.dist;
-    let d = sources.len();
-
-    let f0 = init_frontier_block(dist, comm.rank(), sources);
-    let mut f = f0.local.clone();
-    let mut visited = f.clone();
-    // Level triplets in local coordinates; sources at level 0.
+    let f0 = init_frontier_block(dist, comm.rank(), sources).local;
+    // Level triplets in local coordinates: iteration k discovers level k + 1.
     let mut level_trips: Vec<(Idx, Idx, f64)> = Vec::new();
-    for (r, cols, _) in f.iter_rows() {
-        for &c in cols {
-            level_trips.push((r as Idx, c, 0.0));
+    let mut add_level = |level: usize, f: &Csr<bool>| {
+        for (r, cols, _) in f.iter_rows() {
+            level_trips.extend(cols.iter().map(|&c| (r as Idx, c, level as f64)));
         }
-    }
-    let mut stats = Vec::new();
-
-    let mut frontier_nnz = comm.allreduce(f.nnz() as u64, |x, y| x + y, format!("{tag}:i0:count"));
-    for iter in 0..max_iters {
-        if frontier_nnz == 0 {
-            break;
-        }
-        let f_dist = DistCsr {
+    };
+    add_level(0, &f0);
+    let multiply = |comm: &mut Comm, iter: usize, f: Csr<bool>, _| {
+        let f = DistCsr {
             dist,
             rank: comm.rank(),
             local: f,
@@ -60,31 +50,13 @@ pub fn msbfs_levels(
             tag: format!("{tag}:i{iter}"),
             ..TsConfig::default()
         };
-        let (next, _) = ts_spgemm::<BoolAndOr>(comm, a, ac, &f_dist, &tcfg);
-        let fresh = andnot(&next, &visited);
-        visited = union::<BoolAndOr>(&visited, &fresh);
-        for (r, cols, _) in fresh.iter_rows() {
-            for &c in cols {
-                level_trips.push((r as Idx, c, (iter + 1) as f64));
-            }
-        }
-        let discovered = fresh.nnz() as u64;
-        f = fresh;
-        let next_frontier =
-            comm.allreduce(f.nnz() as u64, |x, y| x + y, format!("{tag}:i{iter}:count"));
-        let discovered_nnz =
-            comm.allreduce(discovered, |x, y| x + y, format!("{tag}:i{iter}:disc"));
-        stats.push(BfsIterStats {
-            iter,
-            frontier_nnz,
-            discovered_nnz,
-            used_spmm: false,
-        });
-        frontier_nnz = next_frontier;
-    }
-
-    let levels = tsgemm_sparse::Coo::from_entries(a.local_rows(), d, level_trips)
-        .to_csr::<tsgemm_sparse::MinPlusF64>();
+        (ts_spgemm::<BoolAndOr>(comm, a, ac, &f, &tcfg).0, false)
+    };
+    let (_, stats) = frontier_loop::<BoolAndOr>(comm, f0, max_iters, tag, multiply, |iter, f| {
+        add_level(iter + 1, f)
+    });
+    let levels =
+        Coo::from_entries(a.local_rows(), sources.len(), level_trips).to_csr::<MinPlusF64>();
     (levels, stats)
 }
 

@@ -18,7 +18,7 @@ use tsgemm_core::part::BlockDist;
 use tsgemm_core::spmm::{dist_spmm, SpmmConfig};
 use tsgemm_net::Comm;
 use tsgemm_sparse::ewise::{andnot, union};
-use tsgemm_sparse::semiring::BoolAndOr;
+use tsgemm_sparse::semiring::{BoolAndOr, Semiring};
 use tsgemm_sparse::spgemm::AccumChoice;
 use tsgemm_sparse::{Coo, Csr, DenseMat, Idx};
 
@@ -79,6 +79,54 @@ pub fn init_frontier_block(dist: BlockDist, rank: usize, sources: &[Idx]) -> Dis
     DistCsr::from_global_coo::<BoolAndOr>(&coo, dist, rank, d)
 }
 
+/// Alg. 3's frontier loop, shared by every multi-source BFS here. `f` is
+/// this rank's part of the initial frontier, which also starts the visited
+/// set `S`. While the global frontier is non-empty, for at most `max_iters`
+/// iterations `k`:
+///
+/// * `N ← multiply(comm, k, F, global nnz of F)`, which also says whether
+///   it used the SpMM form;
+/// * `F ← N \ S`, `S ← S ⊕ F`, then `fresh(k, F)`;
+/// * two AllReduces agree on the next frontier's size and the discovered
+///   count (tags `{tag}:i{k}:count` and `{tag}:i{k}:disc`; the first
+///   frontier is counted under `{tag}:i0:count`).
+///
+/// Returns `S` and the per-iteration statistics.
+pub(crate) fn frontier_loop<S: Semiring>(
+    comm: &mut Comm,
+    mut f: Csr<S::T>,
+    max_iters: usize,
+    tag: &str,
+    mut multiply: impl FnMut(&mut Comm, usize, Csr<S::T>, u64) -> (Csr<S::T>, bool),
+    mut fresh: impl FnMut(usize, &Csr<S::T>),
+) -> (Csr<S::T>, Vec<BfsIterStats>) {
+    let mut s = f.clone();
+    let mut stats = Vec::new();
+    let count = |comm: &mut Comm, x: u64, tag: String| comm.allreduce(x, |a, b| a + b, tag);
+    let mut frontier_nnz = count(comm, f.nnz() as u64, format!("{tag}:i0:count"));
+    for iter in 0..max_iters {
+        if frontier_nnz == 0 {
+            break;
+        }
+        let (next, used_spmm) = multiply(comm, iter, f, frontier_nnz);
+        // F ← N \ S ; S ← S ⊕ N (lines 7-8).
+        f = andnot(&next, &s);
+        s = union::<S>(&s, &f);
+        fresh(iter, &f);
+        // One end-of-iteration reduction doubles as the next loop guard.
+        let next_frontier = count(comm, f.nnz() as u64, format!("{tag}:i{iter}:count"));
+        let discovered_nnz = count(comm, f.nnz() as u64, format!("{tag}:i{iter}:disc"));
+        stats.push(BfsIterStats {
+            iter,
+            frontier_nnz,
+            discovered_nnz,
+            used_spmm,
+        });
+        frontier_nnz = next_frontier;
+    }
+    (s, stats)
+}
+
 /// Runs multi-source BFS with the TS-SpGEMM backend. Returns this rank's
 /// rows of the visited matrix `S` and the per-iteration statistics.
 ///
@@ -92,87 +140,49 @@ pub fn msbfs_ts(
     cfg: &BfsConfig,
 ) -> (Csr<bool>, Vec<BfsIterStats>) {
     let dist = a.dist;
-    let d = sources.len();
-    let n = dist.n();
-    let base = cfg.ts.tag.clone();
-
-    let f0 = init_frontier_block(dist, comm.rank(), sources);
-    let mut f = f0.local.clone();
-    let mut s = f.clone();
-    let mut stats = Vec::new();
-
-    let mut frontier_nnz = comm.allreduce(f.nnz() as u64, |a, b| a + b, format!("{base}:i0:count"));
-
-    for iter in 0..cfg.max_iters {
-        if frontier_nnz == 0 {
-            break;
-        }
-        let density = frontier_nnz as f64 / (n as f64 * d as f64);
-        let use_spmm = cfg.spmm_switch && density > 0.5;
-
-        let f_dist = DistCsr {
+    let cells = dist.n() as f64 * sources.len() as f64;
+    let base = &cfg.ts.tag;
+    let f0 = init_frontier_block(dist, comm.rank(), sources).local;
+    let multiply = |comm: &mut Comm, iter: usize, f: Csr<bool>, frontier_nnz: u64| {
+        let f = DistCsr {
             dist,
             rank: comm.rank(),
             local: f,
         };
-        let next = if use_spmm {
-            let fd = DenseMat::from_csr::<BoolAndOr>(&f_dist.local);
+        // The SpMM form pays off past 50% global frontier density (§V-F).
+        if cfg.spmm_switch && frontier_nnz as f64 / cells > 0.5 {
+            let fd = DenseMat::from_csr::<BoolAndOr>(&f.local);
             let scfg = SpmmConfig {
                 tile_height: cfg.ts.tile_height,
                 tile_width: cfg.ts.tile_width,
                 tag: format!("{base}:i{iter}:spmm"),
             };
             let (cd, _) = dist_spmm::<BoolAndOr>(comm, a, ac, &fd, &scfg);
-            cd.to_csr::<BoolAndOr>()
+            (cd.to_csr::<BoolAndOr>(), true)
         } else {
             let tcfg = TsConfig {
                 tag: format!("{base}:i{iter}"),
                 ..cfg.ts.clone()
             };
-            let (c, _) = ts_spgemm::<BoolAndOr>(comm, a, ac, &f_dist, &tcfg);
-            c
-        };
-
-        // F ← N \ S ; S ← S ∨ N (lines 7-8).
-        let fresh = andnot(&next, &s);
-        s = union::<BoolAndOr>(&s, &fresh);
-        let discovered = fresh.nnz() as u64;
-        f = fresh;
-
-        // One end-of-iteration reduction doubles as the next loop guard.
-        let next_frontier = comm.allreduce(
-            f.nnz() as u64,
-            |a, b| a + b,
-            format!("{base}:i{iter}:count"),
-        );
-        let discovered_nnz =
-            comm.allreduce(discovered, |a, b| a + b, format!("{base}:i{iter}:disc"));
-
-        let iter_stats = BfsIterStats {
-            iter,
-            frontier_nnz,
-            discovered_nnz,
-            used_spmm: use_spmm,
-        };
-        if comm.trace_on() {
-            use tsgemm_net::Metrics;
-            comm.metrics(|m| m.merge(&iter_stats.registry(&base)));
+            (ts_spgemm::<BoolAndOr>(comm, a, ac, &f, &tcfg).0, false)
         }
-        stats.push(iter_stats);
-        frontier_nnz = next_frontier;
+    };
+    let (s, stats) = frontier_loop::<BoolAndOr>(comm, f0, cfg.max_iters, base, multiply, |_, _| {});
+    if comm.trace_on() {
+        use tsgemm_net::Metrics;
+        comm.metrics(|m| stats.iter().for_each(|st| m.merge(&st.registry(base))));
     }
-
     (s, stats)
 }
+
+/// Result of the SUMMA-backend BFS: this rank's `S` block, its global row
+/// and source-column ranges, and the per-iteration statistics.
+pub type Summa2dBfsOut = (Csr<bool>, (Idx, Idx), (Idx, Idx), Vec<BfsIterStats>);
 
 /// Multi-source BFS with the 2-D SUMMA backend (the CombBLAS formulation
 /// Fig. 12d compares against). State stays in SUMMA's native 2-D block
 /// distribution across iterations. Returns this rank's `C` block of `S`
 /// with its global ranges, plus per-iteration stats.
-/// Result of the SUMMA-backend BFS: this rank's `S` block, its global row
-/// and source-column ranges, and the per-iteration statistics.
-pub type Summa2dBfsOut = (Csr<bool>, (Idx, Idx), (Idx, Idx), Vec<BfsIterStats>);
-
 pub fn msbfs_summa2d(
     comm: &mut Comm,
     acoo: &Coo<bool>,
@@ -202,20 +212,8 @@ pub fn msbfs_summa2d(
             .map(|(j, &v)| (v, j as Idx, true))
             .collect(),
     );
-    let mut f_block = extract_block::<BoolAndOr>(&f0, rlo..rhi, dlo..dhi);
-    let mut s_block = f_block.clone();
-    let mut stats = Vec::new();
-
-    let mut frontier_nnz = comm.allreduce(
-        f_block.nnz() as u64,
-        |a, b| a + b,
-        format!("{tag}:i0:count"),
-    );
-
-    for iter in 0..max_iters {
-        if frontier_nnz == 0 {
-            break;
-        }
+    let f_block = extract_block::<BoolAndOr>(&f0, rlo..rhi, dlo..dhi);
+    let multiply = |comm: &mut Comm, iter: usize, f_block: Csr<bool>, _| {
         let (c_trips, flops) = summa_stages::<BoolAndOr>(
             &mut grid,
             &a_block,
@@ -228,28 +226,10 @@ pub fn msbfs_summa2d(
         );
         comm.add_flops(flops);
         let next = Coo::from_entries(my_rows, my_dcols, c_trips).to_csr::<BoolAndOr>();
-
-        let fresh = andnot(&next, &s_block);
-        s_block = union::<BoolAndOr>(&s_block, &fresh);
-        let discovered = fresh.nnz() as u64;
-        f_block = fresh;
-
-        let next_frontier = comm.allreduce(
-            f_block.nnz() as u64,
-            |a, b| a + b,
-            format!("{tag}:i{iter}:count"),
-        );
-        let discovered_nnz =
-            comm.allreduce(discovered, |a, b| a + b, format!("{tag}:i{iter}:disc"));
-        stats.push(BfsIterStats {
-            iter,
-            frontier_nnz,
-            discovered_nnz,
-            used_spmm: false,
-        });
-        frontier_nnz = next_frontier;
-    }
-
+        (next, false)
+    };
+    let (s_block, stats) =
+        frontier_loop::<BoolAndOr>(comm, f_block, max_iters, tag, multiply, |_, _| {});
     (s_block, (rlo, rhi), (dlo, dhi), stats)
 }
 
@@ -273,8 +253,10 @@ pub fn msbfs_parents(
     let dist = a_num.dist;
     let me = comm.rank();
     let d = sources.len();
+    let (lo, _) = dist.range(me);
 
-    // Frontier values encode the discovering parent as (parent + 1).
+    // Frontier values encode the discovering parent as (parent + 1);
+    // sources are their own parents.
     let f0 = Coo::from_entries(
         dist.n(),
         d,
@@ -284,72 +266,34 @@ pub fn msbfs_parents(
             .map(|(j, &v)| (v, j as Idx, v as f64 + 1.0))
             .collect(),
     );
-    let mut f = DistCsr::from_global_coo::<Sel2ndMinF64>(&f0, dist, me, d).local;
-    let mut parents = f.clone(); // sources are their own parents
-    let mut stats = Vec::new();
-
-    let mut frontier_nnz = comm.allreduce(f.nnz() as u64, |x, y| x + y, format!("{tag}:i0:count"));
-    for iter in 0..max_iters {
-        if frontier_nnz == 0 {
-            break;
-        }
-        let f_dist = DistCsr {
+    let f0 = DistCsr::from_global_coo::<Sel2ndMinF64>(&f0, dist, me, d).local;
+    // N(r, j) = min over frontier neighbours of (their id + 1): the sel2nd
+    // ⊗ carries the frontier value (the candidate parent) and min ⊕
+    // resolves ties. The A value is ignored by sel2nd.
+    let multiply = |comm: &mut Comm, iter: usize, f: Csr<f64>, _| {
+        // Frontier must carry the *discoverer's* id, so re-stamp each
+        // frontier row's values with its own vertex id before expanding.
+        let stamps = f
+            .iter_rows()
+            .flat_map(|(r, cols, _)| std::iter::repeat_n((lo + r as Idx) as f64 + 1.0, cols.len()))
+            .collect();
+        let (indptr, indices) = (f.indptr().to_vec(), f.indices().to_vec());
+        let fd = DistCsr {
             dist,
             rank: me,
-            local: f,
+            local: Csr::from_parts(f.nrows(), f.ncols(), indptr, indices, stamps),
         };
         let tcfg = TsConfig {
             tag: format!("{tag}:i{iter}"),
             ..TsConfig::default()
         };
-        // N(r, j) = min over frontier neighbours of (their id + 1): the
-        // sel2nd ⊗ carries the frontier value (the candidate parent) and
-        // min ⊕ resolves ties. The A value is ignored by sel2nd.
-        let next = {
-            // Frontier must carry the *discoverer's* id, so re-stamp each
-            // frontier row's values with its own vertex id before expanding.
-            let (lo, _) = dist.range(me);
-            let mut restamped = f_dist.local.clone();
-            let restamped_vals: Vec<f64> = restamped
-                .iter_rows()
-                .flat_map(|(r, cols, _)| {
-                    std::iter::repeat_n((lo + r as Idx) as f64 + 1.0, cols.len())
-                })
-                .collect();
-            restamped = Csr::from_parts(
-                restamped.nrows(),
-                restamped.ncols(),
-                restamped.indptr().to_vec(),
-                restamped.indices().to_vec(),
-                restamped_vals,
-            );
-            let fd = DistCsr {
-                dist,
-                rank: me,
-                local: restamped,
-            };
-            let (c, _) = ts_spgemm::<Sel2ndMinF64>(comm, a_num, ac_num, &fd, &tcfg);
-            c
-        };
-
-        // Keep only vertices not yet in the tree; record their parents.
-        let fresh = andnot(&next, &parents);
-        parents = union::<Sel2ndMinF64>(&parents, &fresh);
-        let discovered = fresh.nnz() as u64;
-        f = fresh;
-
-        let next_frontier =
-            comm.allreduce(f.nnz() as u64, |x, y| x + y, format!("{tag}:i{iter}:count"));
-        let discovered_nnz =
-            comm.allreduce(discovered, |x, y| x + y, format!("{tag}:i{iter}:disc"));
-        stats.push(BfsIterStats {
-            iter,
-            frontier_nnz,
-            discovered_nnz,
-            used_spmm: false,
-        });
-        frontier_nnz = next_frontier;
-    }
+        (
+            ts_spgemm::<Sel2ndMinF64>(comm, a_num, ac_num, &fd, &tcfg).0,
+            false,
+        )
+    };
+    let (parents, stats) =
+        frontier_loop::<Sel2ndMinF64>(comm, f0, max_iters, tag, multiply, |_, _| {});
     // Stored values are parent + 1; shift back to parent ids.
     (parents.map_values(|v| v - 1.0), stats)
 }

@@ -20,8 +20,9 @@ use crate::colpart::{ColBlocks, Trip};
 use crate::dist::DistCsr;
 use crate::mode::{decide_modes, ModePolicy, TileMode};
 use crate::part::BlockDist;
-use crate::tiling::{subtile_csr, TileBuckets, Tiling};
-use std::time::Instant;
+use crate::tiling::{
+    kernel_lanes, needed_rows, pack_rows, subtile_csr, RowIndex, TileBuckets, Tiling,
+};
 use tsgemm_net::{alloc, Comm, CommError, FlightEventKind, Metrics};
 use tsgemm_pool::{nnz_chunks_range, ThreadPool};
 use tsgemm_sparse::accum::{Accumulator, HashAccum, Spa};
@@ -59,18 +60,8 @@ impl Default for TsConfig {
 impl TsConfig {
     /// Tile width as a multiple of the block size (the Fig. 5 sweep axis).
     pub fn with_width_factor(mut self, factor: usize, dist: BlockDist) -> Self {
-        self.tile_width = Some((factor * dist.block().max(1)).min(dist.n().max(1)).max(1));
+        self.tile_width = Some(Tiling::with_width_factor(dist, factor).w);
         self
-    }
-
-    fn tiling(&self, dist: BlockDist) -> Tiling {
-        let block = dist.block().max(1);
-        let h = self.tile_height.unwrap_or(block).max(1);
-        let w = self
-            .tile_width
-            .unwrap_or_else(|| (16 * block).min(dist.n().max(1)))
-            .max(1);
-        Tiling::new(dist, h, w)
     }
 }
 
@@ -193,7 +184,7 @@ pub fn try_ts_spgemm<S: Semiring>(
     let d = b.ncols();
     let (my_lo, _) = dist.range(me);
 
-    let tiling = cfg.tiling(dist);
+    let tiling = Tiling::sized(dist, cfg.tile_height, cfg.tile_width);
     let buckets_span = comm.span(|| format!("{}:buckets", cfg.tag));
     let buckets = TileBuckets::build(ac, &tiling);
     buckets_span.end();
@@ -253,24 +244,7 @@ pub fn try_ts_spgemm<S: Semiring>(
                 }
                 match serve[i].expect("every non-empty served sub-tile has a mode") {
                     TileMode::Local => {
-                        // Ship each distinct needed B row once (bucket is
-                        // grouped by column, so transitions mark new rows).
-                        let mut last_k: Option<Idx> = None;
-                        for &(_, k, _) in bucket {
-                            if last_k == Some(k) {
-                                continue;
-                            }
-                            last_k = Some(k);
-                            let g_row = bcol_lo + k;
-                            let (cols, vals) = b.local.row(k as usize);
-                            for (&c, &v) in cols.iter().zip(vals) {
-                                bsend[i].push(Trip {
-                                    row: g_row,
-                                    col: c,
-                                    val: v,
-                                });
-                            }
-                        }
+                        pack_rows(needed_rows(bucket), &b.local, bcol_lo, &mut bsend[i])
                     }
                     TileMode::Remote => {
                         let (band_lo, band_hi) = tiling.band_range(i, rb);
@@ -282,16 +256,8 @@ pub fn try_ts_spgemm<S: Semiring>(
                         );
                         flops += spgemm_flops(&tile, &b.local);
                         let part = spgemm::<S>(&tile, &b.local, cfg.accum);
-                        for (r, cols, vals) in part.iter_rows() {
-                            let g_row = band_lo + r as Idx;
-                            for (&c, &v) in cols.iter().zip(vals) {
-                                csend[i].push(Trip {
-                                    row: g_row,
-                                    col: c,
-                                    val: v,
-                                });
-                            }
-                        }
+                        let rows = 0..part.nrows() as Idx;
+                        pack_rows(rows, &part, band_lo, &mut csend[i]);
                     }
                 }
             }
@@ -363,21 +329,21 @@ pub fn try_ts_spgemm<S: Semiring>(
                     total
                 }));
                 let chunks = nnz_chunks_range(&seg_nnz, 0, segs.len(), pool.nthreads());
-                let parts = pool.run(chunks.len(), |k| {
-                    let t0 = trace.then(Instant::now);
-                    let mut c_acc = RowAccum::<S>::new(use_spa, d);
-                    let mut rows = RowBlock::new();
-                    let f = c_acc.owner_rows(&ctx, &segs[chunks[k].clone()], &mut rows);
-                    (rows, f, t0.map(|t| (t, Instant::now())))
+                let ctx = &ctx;
+                let jobs = chunks.into_iter().map(|chunk| {
+                    move || {
+                        let mut rows = RowBlock::new();
+                        let f =
+                            RowAccum::<S>::new(use_spa, d).owner_rows(ctx, &segs[chunk], &mut rows);
+                        (rows, f)
+                    }
                 });
-                let entries = parts.iter().map(|(rows, ..)| rows.indices.len()).sum();
+                let parts = kernel_lanes(comm, &pool, &cfg.tag, jobs);
+                let entries = parts.iter().map(|(rows, _)| rows.indices.len()).sum();
                 step_out.reserve(segs.len(), entries);
-                for (k, (rows, f, span)) in parts.into_iter().enumerate() {
+                for (rows, f) in parts {
                     step_out.append(&rows);
                     flops += f;
-                    if let Some((s0, e0)) = span {
-                        comm.record_span_between(format!("{}:kernel:t{k}", cfg.tag), s0, e0);
-                    }
                 }
             }
             kernel_span.end();
@@ -517,67 +483,6 @@ impl<S: Semiring> RowAccum<S> {
 fn drain_row<S: Semiring, A: Accumulator<S>>(acc: &mut A, out: &mut RowBlock<S::T>) {
     acc.drain_sorted(&mut out.indices, &mut out.values);
     out.indptr.push(out.indices.len());
-}
-
-/// Received entries grouped by row over a contiguous row range `lo..`: a
-/// `(start, end)` span per row into one `(col, val)` buffer. A stable
-/// counting pass builds it, so a row's entries keep message (source-rank)
-/// order. Reused across steps: a refill clears only the rows the previous
-/// step set, so it costs O(entries received), not O(rows in the range).
-struct RowIndex<T> {
-    span: Vec<(usize, usize)>,
-    /// Rows with entries, in the order they were first seen.
-    rows: Vec<usize>,
-    entries: Vec<(Idx, T)>,
-}
-
-impl<T: Copy> RowIndex<T> {
-    fn new() -> Self {
-        Self {
-            span: Vec::new(),
-            rows: Vec::new(),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Re-indexes the rows `lo..lo + nrows` from `msgs` (`pad` only fills
-    /// the entry buffer before the scatter overwrites it).
-    fn fill(&mut self, msgs: &[Vec<Trip<T>>], lo: Idx, nrows: usize, pad: T) {
-        for &r in &self.rows {
-            self.span[r] = (0, 0);
-        }
-        self.rows.clear();
-        if self.span.len() < nrows {
-            self.span.resize(nrows, (0, 0));
-        }
-        // Count each row's entries in `end`.
-        for t in msgs.iter().flatten() {
-            let r = (t.row - lo) as usize;
-            if self.span[r].1 == 0 {
-                self.rows.push(r);
-            }
-            self.span[r].1 += 1;
-        }
-        // Lay the rows out in first-seen order; `end` becomes the cursor.
-        let mut next = 0;
-        for &r in &self.rows {
-            let count = self.span[r].1;
-            self.span[r] = (next, next);
-            next += count;
-        }
-        self.entries.clear();
-        self.entries.resize(next, (0, pad));
-        for t in msgs.iter().flatten() {
-            let span = &mut self.span[(t.row - lo) as usize];
-            self.entries[span.1] = (t.col, t.val);
-            span.1 += 1;
-        }
-    }
-
-    fn row(&self, r: usize) -> &[(Idx, T)] {
-        let (start, end) = self.span[r];
-        &self.entries[start..end]
-    }
 }
 
 /// The entries `lo..hi` of band row `row` that fall in one column band.
@@ -757,9 +662,9 @@ struct OwnerCtx<'a, S: Semiring> {
     /// Sub-tile modes of this step, indexed by serving rank.
     own: &'a [Option<TileMode>],
     /// Received B rows over the column band.
-    brows: &'a RowIndex<S::T>,
+    brows: &'a RowIndex<(Idx, S::T)>,
     /// Received partial C rows over the row band.
-    cparts: &'a RowIndex<S::T>,
+    cparts: &'a RowIndex<(Idx, S::T)>,
     /// Output columns.
     d: usize,
 }

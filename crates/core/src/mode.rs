@@ -17,7 +17,7 @@
 
 use crate::colpart::Trip;
 use crate::dist::DistCsr;
-use crate::tiling::{subtile_csr, TileBuckets, Tiling};
+use crate::tiling::{needed_rows, subtile_csr, TileBuckets, Tiling};
 use tsgemm_net::{Comm, FlightEventKind};
 use tsgemm_sparse::semiring::Semiring;
 use tsgemm_sparse::spgemm::spgemm_symbolic;
@@ -88,22 +88,14 @@ impl Modes {
     }
 }
 
-/// Total `nnz` of the local `B` rows a sub-tile needs. Bucket entries are
-/// grouped by local column (the bucketing pass iterates columns in order),
-/// so distinct columns are found by scanning for transitions.
+/// Total `nnz` of the local `B` rows a sub-tile needs.
 fn needed_b_nnz<T: Copy, U: Copy>(
     bucket: &[(Idx, Idx, T)],
     b_local: &tsgemm_sparse::Csr<U>,
 ) -> u64 {
-    let mut needed = 0u64;
-    let mut last_k: Option<Idx> = None;
-    for &(_, k, _) in bucket {
-        if last_k != Some(k) {
-            needed += b_local.row_nnz(k as usize) as u64;
-            last_k = Some(k);
-        }
-    }
-    needed
+    needed_rows(bucket)
+        .map(|k| b_local.row_nnz(k as usize) as u64)
+        .sum()
 }
 
 /// Runs the symbolic step and the mode-exchange AllToAll.

@@ -11,9 +11,9 @@
 
 use crate::colpart::{ColBlocks, Trip};
 use crate::dist::DistCsr;
-use crate::tiling::{csr_from_unique_triplets, TileBuckets, Tiling};
-use std::collections::HashMap;
-use std::time::Instant;
+use crate::tiling::{
+    csr_from_unique_triplets, kernel_lanes, needed_rows, pack_rows, RowIndex, TileBuckets, Tiling,
+};
 use tsgemm_net::Comm;
 use tsgemm_pool::{nnz_chunks_range, ThreadPool};
 use tsgemm_sparse::{Csr, Idx};
@@ -47,20 +47,24 @@ impl Default for SddmmConfig {
     }
 }
 
-fn sparse_dot(ac: &[Idx], av: &[f64], bc: &[Idx], bv: &[f64]) -> (f64, u64) {
-    let (mut i, mut j, mut s) = (0usize, 0usize, 0.0);
-    while i < ac.len() && j < bc.len() {
-        match ac[i].cmp(&bc[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                s += av[i] * bv[j];
-                i += 1;
-                j += 1;
-            }
+/// `⟨x, y⟩` of two rows sorted by column, and its merge-join work: the
+/// entries of both rows.
+fn sparse_dot(
+    (xc, xv): (&[Idx], &[f64]),
+    y: impl ExactSizeIterator<Item = (Idx, f64)>,
+) -> (f64, u64) {
+    let work = (xc.len() + y.len()) as u64;
+    let (mut i, mut s) = (0, 0.0);
+    for (c, v) in y {
+        while i < xc.len() && xc[i] < c {
+            i += 1;
+        }
+        if i < xc.len() && xc[i] == c {
+            s += xv[i] * v;
+            i += 1;
         }
     }
-    (s, (ac.len() + bc.len()) as u64)
+    (s, work)
 }
 
 /// Distributed SDDMM: returns this rank's rows of `O`, which has exactly
@@ -83,13 +87,7 @@ pub fn dist_sddmm(
     assert_eq!(sc.dist, dist, "S^c must follow S's distribution");
     let (my_lo, _) = dist.range(me);
 
-    let block = dist.block().max(1);
-    let h = cfg.tile_height.unwrap_or(block).max(1);
-    let w = cfg
-        .tile_width
-        .unwrap_or_else(|| (16 * block).min(dist.n().max(1)))
-        .max(1);
-    let tiling = Tiling::new(dist, h, w);
+    let tiling = Tiling::sized(dist, cfg.tile_height, cfg.tile_width);
     let buckets = TileBuckets::build(sc, &tiling);
     let (zcol_lo, _) = sc.col_range();
 
@@ -99,60 +97,22 @@ pub fn dist_sddmm(
         steps: tiling.steps() as u64,
         ..SddmmLocalStats::default()
     };
-    let trace = comm.trace_on();
+    // Received Z rows, indexed over the column band.
+    let mut zrows = RowIndex::new();
     let pool = ThreadPool::global();
 
     for rb in 0..tiling.n_row_bands {
         for cb in 0..tiling.n_col_bands {
             // Server role: ship the Z rows each sub-tile's columns need.
             let mut zsend: Vec<Vec<Trip<f64>>> = (0..p).map(|_| Vec::new()).collect();
-            for (i, send) in zsend.iter_mut().enumerate() {
-                if i == me {
-                    continue;
-                }
-                let Some(bucket) = buckets.get(&(i, rb as u32, cb as u32)) else {
-                    continue;
-                };
-                let mut last_k: Option<Idx> = None;
-                for &(_, k, _) in bucket {
-                    if last_k == Some(k) {
-                        continue;
-                    }
-                    last_k = Some(k);
-                    let g_row = zcol_lo + k;
-                    let (cols, vals) = z.local.row(k as usize);
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        send.push(Trip {
-                            row: g_row,
-                            col: c,
-                            val: v,
-                        });
-                    }
-                }
+            for (i, bucket) in buckets.step(rb, cb).filter(|&(i, _)| i != me) {
+                pack_rows(needed_rows(bucket), &z.local, zcol_lo, &mut zsend[i]);
             }
             let zrecv = comm.alltoallv(zsend, format!("{}:zfetch", cfg.tag));
-
-            // Index received Z rows.
-            let mut entries: Vec<(Idx, f64)> = Vec::new();
-            let mut index: HashMap<Idx, (u32, u32)> = HashMap::new();
-            for msg in &zrecv {
-                let mut run_start = entries.len();
-                let mut run_row: Option<Idx> = None;
-                for t in msg {
-                    if run_row != Some(t.row) {
-                        if let Some(rr) = run_row {
-                            index.insert(rr, (run_start as u32, entries.len() as u32));
-                        }
-                        run_row = Some(t.row);
-                        run_start = entries.len();
-                    }
-                    entries.push((t.col, t.val));
-                }
-                if let Some(rr) = run_row {
-                    index.insert(rr, (run_start as u32, entries.len() as u32));
-                }
-            }
-            comm.note_working_set((entries.len() * std::mem::size_of::<Trip<f64>>()) as u64);
+            let received: usize = zrecv.iter().map(Vec::len).sum();
+            comm.note_working_set((received * std::mem::size_of::<Trip<f64>>()) as u64);
+            let (cb_lo, cb_hi) = tiling.col_band_range(cb);
+            zrows.fill(&zrecv, cb_lo, (cb_hi - cb_lo) as usize, 0.0);
 
             // Owner role: per stored S entry in this tile, the sparse dot.
             // Every output entry is a pure function of its own S entry and
@@ -160,58 +120,41 @@ pub fn dist_sddmm(
             // job-local scratch) concatenated in row order reproduce the
             // sequential triplet sequence exactly.
             let (band_lo, band_hi) = tiling.band_range(me, rb);
-            let (cb_lo, cb_hi) = tiling.col_band_range(cb);
             let lo_l = (band_lo - my_lo) as usize;
             let hi_l = (band_hi - my_lo) as usize;
             let chunks = nnz_chunks_range(s.local.indptr(), lo_l, hi_l, pool.nthreads());
-            let f = &f;
-            let index = &index;
-            let entries = &entries;
-            let parts = pool.run(chunks.len(), |ci| {
-                let t0 = trace.then(Instant::now);
-                let mut trips: Vec<(Idx, Idx, f64)> = Vec::new();
-                let mut w = 0u64;
-                let mut zc_cols: Vec<Idx> = Vec::new();
-                let mut zc_vals: Vec<f64> = Vec::new();
-                for r_local in chunks[ci].clone() {
-                    let (scols, svals) = s.local.row(r_local);
-                    let (zr_cols, zr_vals) = z.local.row(r_local);
-                    let start = scols.partition_point(|&c| c < cb_lo);
-                    let end = scols.partition_point(|&c| c < cb_hi);
-                    for idx in start..end {
-                        let c = scols[idx];
-                        let sv = svals[idx];
-                        let dot;
-                        if dist.owner(c) == me {
-                            let (cc, cv) = z.local.row((c - my_lo) as usize);
-                            let (d0, w0) = sparse_dot(zr_cols, zr_vals, cc, cv);
-                            dot = d0;
-                            w += w0;
-                        } else if let Some(&(lo_e, hi_e)) = index.get(&c) {
-                            zc_cols.clear();
-                            zc_vals.clear();
-                            for &(col, val) in &entries[lo_e as usize..hi_e as usize] {
-                                zc_cols.push(col);
-                                zc_vals.push(val);
-                            }
-                            let (d0, w0) = sparse_dot(zr_cols, zr_vals, &zc_cols, &zc_vals);
-                            dot = d0;
-                            w += w0;
-                        } else {
-                            // The Z row is empty everywhere: dot is zero.
-                            dot = 0.0;
+            let (f, zrows) = (&f, &zrows);
+            let jobs = chunks.into_iter().map(|rows| {
+                move || {
+                    let mut trips: Vec<(Idx, Idx, f64)> = Vec::new();
+                    let mut w = 0u64;
+                    for r_local in rows {
+                        let (scols, svals) = s.local.row(r_local);
+                        let zr = z.local.row(r_local);
+                        let start = scols.partition_point(|&c| c < cb_lo);
+                        let end = scols.partition_point(|&c| c < cb_hi);
+                        for (&c, &sv) in scols[start..end].iter().zip(&svals[start..end]) {
+                            let (dot, work) = if dist.owner(c) == me {
+                                let (cc, cv) = z.local.row((c - my_lo) as usize);
+                                sparse_dot(zr, cc.iter().copied().zip(cv.iter().copied()))
+                            } else {
+                                match zrows.row((c - cb_lo) as usize) {
+                                    // A Z row empty everywhere never
+                                    // arrives: a zero dot at no work.
+                                    [] => (0.0, 0),
+                                    zc => sparse_dot(zr, zc.iter().copied()),
+                                }
+                            };
+                            w += work;
+                            trips.push((r_local as Idx, c, f(sv, dot)));
                         }
-                        trips.push((r_local as Idx, c, f(sv, dot)));
                     }
+                    (trips, w)
                 }
-                (trips, w, t0.map(|t| (t, Instant::now())))
             });
-            for (k, (trips, w, span)) in parts.into_iter().enumerate() {
+            for (trips, w) in kernel_lanes(comm, &pool, &cfg.tag, jobs) {
                 out_trips.extend(trips);
                 flops += w;
-                if let Some((s0, e0)) = span {
-                    comm.record_span_between(format!("{}:kernel:t{k}", cfg.tag), s0, e0);
-                }
             }
         }
     }
@@ -234,14 +177,27 @@ mod tests {
     use tsgemm_sparse::gen::{erdos_renyi, random_tall};
     use tsgemm_sparse::{Coo, PlusTimesF64};
 
+    /// Scatters `Z_r` into a dense row and gathers each `⟨Z_r, Z_c⟩`
+    /// through it, independently of the kernel's merge-join dot.
     fn reference_sddmm(s: &Csr<f64>, z: &Csr<f64>, f: impl Fn(f64, f64) -> f64) -> Csr<f64> {
         let mut trips = Vec::new();
+        let mut dense = vec![0.0; z.ncols()];
         for (r, cols, vals) in s.iter_rows() {
+            let (rc, rv) = z.row(r);
+            for (&k, &v) in rc.iter().zip(rv) {
+                dense[k as usize] = v;
+            }
             for (&c, &sv) in cols.iter().zip(vals) {
-                let (rc, rv) = z.row(r);
                 let (cc, cv) = z.row(c as usize);
-                let (dot, _) = sparse_dot(rc, rv, cc, cv);
+                let dot: f64 = cc
+                    .iter()
+                    .zip(cv)
+                    .map(|(&k, &v)| dense[k as usize] * v)
+                    .sum();
                 trips.push((r as Idx, c, f(sv, dot)));
+            }
+            for &k in rc {
+                dense[k as usize] = 0.0;
             }
         }
         csr_from_unique_triplets(s.nrows(), s.ncols(), trips)

@@ -14,11 +14,9 @@
 
 use crate::colpart::ColBlocks;
 use crate::dist::DistCsr;
-use crate::tiling::{TileBuckets, Tiling};
-use std::collections::HashMap;
-use std::time::Instant;
+use crate::tiling::{kernel_lanes, needed_rows, RowIndex, TileBuckets, Tiling};
 use tsgemm_net::Comm;
-use tsgemm_pool::{nnz_chunks_range, Job, ThreadPool};
+use tsgemm_pool::{nnz_chunks_range, ThreadPool};
 use tsgemm_sparse::semiring::Semiring;
 use tsgemm_sparse::{DenseMat, Idx};
 
@@ -81,13 +79,7 @@ pub fn dist_spmm<S: Semiring>(
     let d = b_dense.ncols();
     let (my_lo, _) = dist.range(me);
 
-    let block = dist.block().max(1);
-    let h = cfg.tile_height.unwrap_or(block).max(1);
-    let w = cfg
-        .tile_width
-        .unwrap_or_else(|| (16 * block).min(dist.n().max(1)))
-        .max(1);
-    let tiling = Tiling::new(dist, h, w);
+    let tiling = Tiling::sized(dist, cfg.tile_height, cfg.tile_width);
     let buckets = TileBuckets::build(ac, &tiling);
 
     let mut c = DenseMat::filled(dist.local_len(me), d, S::zero());
@@ -96,8 +88,9 @@ pub fn dist_spmm<S: Semiring>(
         ..SpmmLocalStats::default()
     };
     let (bcol_lo, _) = ac.col_range();
+    // Received dense B rows, indexed over the column band.
+    let mut brows = RowIndex::new();
     let mut flops = 0u64;
-    let trace = comm.trace_on();
     let pool = ThreadPool::global();
 
     for rb in 0..tiling.n_row_bands {
@@ -105,19 +98,8 @@ pub fn dist_spmm<S: Semiring>(
             // Server role: ship the dense B rows each sub-tile needs.
             let mut id_send: Vec<Vec<Idx>> = (0..p).map(|_| Vec::new()).collect();
             let mut val_send: Vec<Vec<S::T>> = (0..p).map(|_| Vec::new()).collect();
-            for i in 0..p {
-                if i == me {
-                    continue;
-                }
-                let Some(bucket) = buckets.get(&(i, rb as u32, cb as u32)) else {
-                    continue;
-                };
-                let mut last_k: Option<Idx> = None;
-                for &(_, k, _) in bucket {
-                    if last_k == Some(k) {
-                        continue;
-                    }
-                    last_k = Some(k);
+            for (i, bucket) in buckets.step(rb, cb).filter(|&(i, _)| i != me) {
+                for k in needed_rows(bucket) {
                     id_send[i].push(bcol_lo + k);
                     val_send[i].extend_from_slice(b_dense.row(k as usize));
                     stats.rows_shipped += 1;
@@ -126,76 +108,57 @@ pub fn dist_spmm<S: Semiring>(
             let id_recv = comm.alltoallv(id_send, format!("{}:ids", cfg.tag));
             let val_recv = comm.alltoallv(val_send, format!("{}:vals", cfg.tag));
 
-            // Index received rows: global row id -> (message, offset).
-            let mut row_at: HashMap<Idx, (usize, usize)> = HashMap::new();
-            for (src, ids) in id_recv.iter().enumerate() {
-                for (ofs, &g) in ids.iter().enumerate() {
-                    row_at.insert(g, (src, ofs * d));
-                }
-            }
-
             // Tile-owner role: dense accumulate (streaming-friendly).
             let recv_bytes: u64 = val_recv
                 .iter()
                 .map(|v| (v.len() * std::mem::size_of::<S::T>()) as u64)
                 .sum();
             comm.note_working_set(recv_bytes);
-            let (band_lo, band_hi) = tiling.band_range(me, rb);
             let (cb_lo, cb_hi) = tiling.col_band_range(cb);
+            brows.fill_dense(&id_recv, &val_recv, cb_lo, (cb_hi - cb_lo) as usize, d);
+            let (band_lo, band_hi) = tiling.band_range(me, rb);
             let lo_l = (band_lo - my_lo) as usize;
             let hi_l = (band_hi - my_lo) as usize;
             // Rows are independent, so each nnz-balanced chunk of the band
             // owns a disjoint slice of C (split_at_mut) and writes it
             // directly; every row is the same left-to-right fold as the
             // sequential kernel, so the result is thread-count independent.
-            // Each job returns (flops, optional kernel span endpoints).
-            type JobOut = (u64, Option<(Instant, Instant)>);
             let chunks = nnz_chunks_range(a.local.indptr(), lo_l, hi_l, pool.nthreads());
-            let mut jobs: Vec<Job<JobOut>> = Vec::with_capacity(chunks.len());
+            let mut jobs = Vec::with_capacity(chunks.len());
             let mut rest: &mut [S::T] = &mut c.data_mut()[lo_l * d..hi_l * d];
             let mut done = lo_l;
             for rows in chunks {
                 let (band, tail) = rest.split_at_mut((rows.end - done) * d);
                 rest = tail;
                 done = rows.end;
-                let a_local = &a.local;
-                let row_at = &row_at;
-                let val_recv = &val_recv;
-                jobs.push(Box::new(move || {
-                    let t0 = trace.then(Instant::now);
+                let (a_local, brows) = (&a.local, &brows);
+                jobs.push(move || {
                     let mut f = 0u64;
                     for r_local in rows.clone() {
-                        let crow =
-                            &mut band[(r_local - rows.start) * d..(r_local - rows.start + 1) * d];
+                        let at = (r_local - rows.start) * d;
+                        let crow = &mut band[at..at + d];
                         let (cols, vals) = a_local.row(r_local);
                         let start = cols.partition_point(|&c| c < cb_lo);
                         let end = cols.partition_point(|&c| c < cb_hi);
-                        for idx in start..end {
-                            let col = cols[idx];
-                            let va = vals[idx];
+                        for (&col, &va) in cols[start..end].iter().zip(&vals[start..end]) {
                             let brow: &[S::T] = if dist.owner(col) == me {
                                 b_dense.row((col - my_lo) as usize)
                             } else {
-                                let &(src, ofs) = row_at
-                                    .get(&col)
-                                    .expect("needed dense B row must have been shipped");
-                                &val_recv[src][ofs..ofs + d]
+                                brows.row((col - cb_lo) as usize)
                             };
-                            for j in 0..d {
-                                crow[j] = S::add(crow[j], S::mul(va, brow[j]));
+                            assert_eq!(brow.len(), d, "needed dense B row must have been shipped");
+                            for (cj, &bj) in crow.iter_mut().zip(brow) {
+                                *cj = S::add(*cj, S::mul(va, bj));
                             }
                             f += d as u64;
                         }
                     }
-                    (f, t0.map(|t| (t, Instant::now())))
-                }));
+                    f
+                });
             }
-            for (k, (f, span)) in pool.run_jobs(jobs).into_iter().enumerate() {
-                flops += f;
-                if let Some((s0, e0)) = span {
-                    comm.record_span_between(format!("{}:kernel:t{k}", cfg.tag), s0, e0);
-                }
-            }
+            flops += kernel_lanes(comm, &pool, &cfg.tag, jobs)
+                .into_iter()
+                .sum::<u64>();
         }
     }
 

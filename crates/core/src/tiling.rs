@@ -1,4 +1,5 @@
-//! Sparsity-aware tiling of the virtual 2-D layout (§III-B).
+//! Sparsity-aware tiling of the virtual 2-D layout (§III-B), and the
+//! tile-step pieces every kernel on that schedule shares.
 //!
 //! Each rank's row block `A_i` is processed in `h × w` tiles: `h ≤ n/p` rows
 //! of the block by `w ≤ n` global columns (Table IV defaults: `h = n/p`,
@@ -7,11 +8,18 @@
 //! decision is made, since one rank owns all the `B` rows a sub-tile needs.
 //!
 //! The `A^c` side pre-buckets its entries by sub-tile once, in tile-step
-//! order; both the symbolic mode pass and the numeric remote multiply then
-//! work from the buckets without rescanning the CSC.
+//! order; the symbolic mode pass and every kernel's server role then work
+//! from the buckets without rescanning the CSC. TS-SpGEMM, SpMM and SDDMM
+//! run the same step: [`TileBuckets::step`] lists the sub-tiles a rank
+//! serves, `needed_rows` the rows each one needs (`pack_rows` ships sparse
+//! rows as [`Trip`]s), `RowIndex` indexes what arrives, and `kernel_lanes`
+//! runs the tile owner's pool jobs.
 
-use crate::colpart::ColBlocks;
+use crate::colpart::{ColBlocks, Trip};
 use crate::part::BlockDist;
+use std::time::Instant;
+use tsgemm_net::Comm;
+use tsgemm_pool::{Job, ThreadPool};
 use tsgemm_sparse::{Csr, Idx};
 
 /// Tile grid geometry, uniform across ranks.
@@ -43,10 +51,18 @@ impl Tiling {
         }
     }
 
-    /// The paper's defaults (Table IV): `h = n/p`, `w = 16·n/p` (clamped to n).
-    pub fn default_for(dist: BlockDist) -> Self {
+    /// `h × w` tiles, each size defaulting to the paper's (Table IV):
+    /// `h = n/p`, `w = 16·n/p` (clamped to n).
+    pub(crate) fn sized(dist: BlockDist, h: Option<usize>, w: Option<usize>) -> Self {
         let block = dist.block().max(1);
-        Self::new(dist, block, (16 * block).min(dist.n().max(1)))
+        let h = h.unwrap_or(block).max(1);
+        let w = w.unwrap_or_else(|| (16 * block).min(dist.n().max(1)));
+        Self::new(dist, h, w.max(1))
+    }
+
+    /// The paper's defaults (Table IV).
+    pub fn default_for(dist: BlockDist) -> Self {
+        Self::sized(dist, None, None)
     }
 
     /// Like [`Tiling::default_for`] but with `w = factor·n/p` (Fig. 5 sweep).
@@ -164,16 +180,6 @@ impl<T: Copy> TileBuckets<T> {
         &self.entries[self.offsets[s] as usize..self.offsets[s + 1] as usize]
     }
 
-    /// The entries of sub-tile `(i, rb, cb)`, or `None` when it is empty.
-    pub fn get(&self, &(i, rb, cb): &SubTileKey) -> Option<&[(Idx, Idx, T)]> {
-        let (rb, cb) = (rb as usize, cb as usize);
-        if i >= self.p || rb >= self.n_row_bands || cb >= self.n_col_bands {
-            return None;
-        }
-        let bucket = self.span((rb * self.n_col_bands + cb) * self.p + i);
-        (!bucket.is_empty()).then_some(bucket)
-    }
-
     /// The non-empty sub-tiles of step `(rb, cb)` as `(owner, entries)`, in
     /// owner order.
     pub fn step(&self, rb: usize, cb: usize) -> impl Iterator<Item = (usize, &[(Idx, Idx, T)])> {
@@ -193,6 +199,158 @@ impl<T: Copy> TileBuckets<T> {
             })
         })
     }
+}
+
+/// The local `B` rows a sub-tile needs, each once, in column order. Bucket
+/// entries are grouped by local column, so each run of equal columns is one
+/// needed row.
+pub(crate) fn needed_rows<T>(bucket: &[(Idx, Idx, T)]) -> impl Iterator<Item = Idx> + '_ {
+    bucket.chunk_by(|x, y| x.1 == y.1).map(|run| run[0].1)
+}
+
+/// Appends rows `ks` of `m` to `out` as [`Trip`]s in global coordinates
+/// (local row `k` is global row `lo + k`): the wire format of every
+/// sparse row a tile step ships.
+pub(crate) fn pack_rows<T: Copy>(
+    ks: impl Iterator<Item = Idx>,
+    m: &Csr<T>,
+    lo: Idx,
+    out: &mut Vec<Trip<T>>,
+) {
+    for k in ks {
+        let (cols, vals) = m.row(k as usize);
+        out.extend(cols.iter().zip(vals).map(|(&col, &val)| Trip {
+            row: lo + k,
+            col,
+            val,
+        }));
+    }
+}
+
+/// Received rows over a contiguous row range `lo..`: a `(start, end)` span
+/// per row into one entry buffer; a row that did not arrive is empty.
+/// Reused across steps: a refill clears only the rows the previous step
+/// set, so it costs O(entries received), not O(rows in the range).
+pub(crate) struct RowIndex<E> {
+    span: Vec<(usize, usize)>,
+    /// Rows with entries, in the order they were first seen.
+    rows: Vec<usize>,
+    entries: Vec<E>,
+}
+
+impl<E: Copy> RowIndex<E> {
+    pub(crate) fn new() -> Self {
+        Self {
+            span: Vec::new(),
+            rows: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Empties the rows the previous fill set and covers `nrows` rows.
+    fn reset(&mut self, nrows: usize) {
+        for &r in &self.rows {
+            self.span[r] = (0, 0);
+        }
+        self.rows.clear();
+        if self.span.len() < nrows {
+            self.span.resize(nrows, (0, 0));
+        }
+    }
+
+    pub(crate) fn row(&self, r: usize) -> &[E] {
+        let (start, end) = self.span[r];
+        &self.entries[start..end]
+    }
+}
+
+impl<T: Copy> RowIndex<(Idx, T)> {
+    /// Re-indexes the rows `lo..lo + nrows` from sparse rows sent as
+    /// [`Trip`]s, each row's entries as `(col, val)` in message
+    /// (source-rank) order. A stable counting pass builds it; `pad` only
+    /// fills the entry buffer before the scatter overwrites it.
+    pub(crate) fn fill(&mut self, msgs: &[Vec<Trip<T>>], lo: Idx, nrows: usize, pad: T) {
+        self.reset(nrows);
+        // Count each row's entries in `end`.
+        for t in msgs.iter().flatten() {
+            let r = (t.row - lo) as usize;
+            if self.span[r].1 == 0 {
+                self.rows.push(r);
+            }
+            self.span[r].1 += 1;
+        }
+        // Lay the rows out in first-seen order; `end` becomes the cursor.
+        let mut next = 0;
+        for &r in &self.rows {
+            let count = self.span[r].1;
+            self.span[r] = (next, next);
+            next += count;
+        }
+        self.entries.clear();
+        self.entries.resize(next, (0, pad));
+        for t in msgs.iter().flatten() {
+            let span = &mut self.span[(t.row - lo) as usize];
+            self.entries[span.1] = (t.col, t.val);
+            span.1 += 1;
+        }
+    }
+}
+
+impl<T: Copy> RowIndex<T> {
+    /// Re-indexes the rows `lo..lo + nrows` from dense rows of `d` values:
+    /// `vals[src]` holds one row per global row id in `ids[src]`.
+    pub(crate) fn fill_dense(
+        &mut self,
+        ids: &[Vec<Idx>],
+        vals: &[Vec<T>],
+        lo: Idx,
+        nrows: usize,
+        d: usize,
+    ) {
+        self.reset(nrows);
+        self.entries.clear();
+        for (ids, vals) in ids.iter().zip(vals) {
+            for (k, &g) in ids.iter().enumerate() {
+                let r = (g - lo) as usize;
+                let start = self.entries.len();
+                self.entries.extend_from_slice(&vals[k * d..(k + 1) * d]);
+                self.span[r] = (start, start + d);
+                self.rows.push(r);
+            }
+        }
+    }
+}
+
+/// Runs one pool job per lane and returns the results in lane order. When
+/// tracing, lane `k`'s wall interval is recorded after the join as span
+/// `{tag}:kernel:t{k}` (one Chrome-trace lane per worker).
+pub(crate) fn kernel_lanes<'env, R: Send + 'env>(
+    comm: &Comm,
+    pool: &ThreadPool,
+    tag: &str,
+    jobs: impl IntoIterator<Item = impl FnOnce() -> R + Send + 'env>,
+) -> Vec<R> {
+    let trace = comm.trace_on();
+    let timed: Vec<Job<'env, _>> = jobs
+        .into_iter()
+        .map(|job| {
+            Box::new(move || {
+                let t0 = trace.then(Instant::now);
+                let out = job();
+                (out, t0.map(|t| (t, Instant::now())))
+            }) as Job<'env, _>
+        })
+        .collect();
+    pool.run_jobs(timed)
+        .into_iter()
+        .enumerate()
+        .map(|(k, (out, span))| {
+            if let Some((s0, e0)) = span {
+                comm.record_span_between(format!("{tag}:kernel:t{k}"), s0, e0);
+            }
+            out
+        })
+        .collect()
 }
 
 /// Builds a CSR from triplets with unique coordinates (no semiring needed;
@@ -243,6 +401,7 @@ pub fn subtile_csr<T: Copy>(
 mod tests {
     use super::*;
     use crate::dist::DistCsr;
+    use std::collections::BTreeSet;
     use tsgemm_net::World;
     use tsgemm_sparse::gen::erdos_renyi;
     use tsgemm_sparse::PlusTimesF64;
@@ -317,7 +476,6 @@ mod tests {
             let mut total = 0;
             let mut keys = Vec::new();
             for ((i, rb, cb), bucket) in buckets.iter() {
-                assert_eq!(buckets.get(&(i, rb, cb)), Some(bucket));
                 for &(r, k, _) in bucket {
                     // Each entry sits in its own sub-tile, in column order.
                     assert_eq!(dist.owner(r), i);
@@ -325,12 +483,14 @@ mod tests {
                     assert_eq!(t.col_band_of(ac.col_range().0 + k), cb as usize);
                 }
                 assert!(bucket.windows(2).all(|w| w[0].1 <= w[1].1));
+                // Each distinct column is one needed row, once, in order.
+                let distinct: BTreeSet<Idx> = bucket.iter().map(|&(_, k, _)| k).collect();
+                assert!(needed_rows(bucket).eq(distinct));
                 total += bucket.len();
                 keys.push((rb, cb, i));
             }
             // (step, owner) order, each sub-tile once.
             assert!(keys.windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(buckets.get(&(p, 0, 0)), None);
             (total, ac.local.nnz(), keys.len())
         });
         for (bucketed, nnz, groups) in out.results {

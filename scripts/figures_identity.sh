@@ -2,16 +2,16 @@
 # Fails if a change moves any figure CSV.
 #
 # Exports BASE and HEAD with `git archive`, builds the figure harnesses of
-# each, runs fig05, fig09, fig11, fig12 and fig13 at TSGEMM_SCALE=10
+# each, runs fig05, fig07, fig09, fig11, fig12 and fig13 at TSGEMM_SCALE=10
 # TSGEMM_P=16 (each commit in its own empty working directory, since the
 # harnesses write results/ relative to the cwd) and diffs the CSVs byte for
-# byte.
+# byte. fig07 is the one that covers `dist_spmm`.
 #
 # Usage: scripts/figures_identity.sh [BASE [HEAD]]
 #   BASE defaults to the merge-base of HEAD and origin/main (else main).
 set -euo pipefail
 
-FIGS=(fig05_tile_width fig09_strong_scaling fig11_comm_scaling fig12_msbfs fig13_embedding)
+FIGS=(fig05_tile_width fig07_spgemm_vs_spmm fig09_strong_scaling fig11_comm_scaling fig12_msbfs fig13_embedding)
 head_ref=${2:-HEAD}
 base_ref=${1:-$(git merge-base "$head_ref" origin/main 2>/dev/null ||
     git merge-base "$head_ref" main)}
