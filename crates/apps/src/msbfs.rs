@@ -15,7 +15,7 @@ use tsgemm_core::colpart::ColBlocks;
 use tsgemm_core::dist::DistCsr;
 use tsgemm_core::exec::{ts_spgemm, TsConfig};
 use tsgemm_core::part::BlockDist;
-use tsgemm_core::spmm::{dist_spmm, SpmmConfig};
+use tsgemm_core::spmm::dist_spmm;
 use tsgemm_net::Comm;
 use tsgemm_sparse::ewise::{andnot, union};
 use tsgemm_sparse::semiring::{BoolAndOr, Semiring};
@@ -152,11 +152,7 @@ pub fn msbfs_ts(
         // The SpMM form pays off past 50% global frontier density (§V-F).
         if cfg.spmm_switch && frontier_nnz as f64 / cells > 0.5 {
             let fd = DenseMat::from_csr::<BoolAndOr>(&f.local);
-            let scfg = SpmmConfig {
-                tile_height: cfg.ts.tile_height,
-                tile_width: cfg.ts.tile_width,
-                tag: format!("{base}:i{iter}:spmm"),
-            };
+            let scfg = cfg.ts.tile_config(format!("{base}:i{iter}:spmm"));
             let (cd, _) = dist_spmm::<BoolAndOr>(comm, a, ac, &fd, &scfg);
             (cd.to_csr::<BoolAndOr>(), true)
         } else {

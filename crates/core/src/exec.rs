@@ -21,7 +21,7 @@ use crate::dist::DistCsr;
 use crate::mode::{decide_modes, ModePolicy, TileMode};
 use crate::part::BlockDist;
 use crate::tiling::{
-    kernel_lanes, needed_rows, pack_rows, subtile_csr, RowIndex, TileBuckets, Tiling,
+    kernel_lanes, needed_rows, pack_rows, subtile_csr, RowIndex, TileBuckets, TileConfig, Tiling,
 };
 use tsgemm_net::{alloc, Comm, CommError, FlightEventKind, Metrics};
 use tsgemm_pool::{nnz_chunks_range, ThreadPool};
@@ -58,6 +58,15 @@ impl Default for TsConfig {
 }
 
 impl TsConfig {
+    /// The same tile sizes as a SpMM or SDDMM config, tagged `tag`.
+    pub fn tile_config(&self, tag: String) -> TileConfig {
+        TileConfig {
+            tile_height: self.tile_height,
+            tile_width: self.tile_width,
+            tag,
+        }
+    }
+
     /// Tile width as a multiple of the block size (the Fig. 5 sweep axis).
     pub fn with_width_factor(mut self, factor: usize, dist: BlockDist) -> Self {
         self.tile_width = Some(Tiling::with_width_factor(dist, factor).w);

@@ -37,7 +37,7 @@ pub use dist::DistCsr;
 pub use exec::{try_ts_spgemm, ts_spgemm, TsConfig, TsLocalStats};
 pub use mode::{ModePolicy, TileMode};
 pub use part::BlockDist;
-pub use tiling::Tiling;
+pub use tiling::{TileConfig, Tiling};
 
 /// The `tsgemm-trace` observability facade: unified metrics registry,
 /// Chrome-trace timeline export, and the run-level trace switch. Implemented

@@ -12,7 +12,8 @@
 use crate::colpart::{ColBlocks, Trip};
 use crate::dist::DistCsr;
 use crate::tiling::{
-    csr_from_unique_triplets, kernel_lanes, needed_rows, pack_rows, RowIndex, TileBuckets, Tiling,
+    csr_from_unique_triplets, kernel_lanes, needed_rows, pack_rows, RowIndex, TileBuckets,
+    TileConfig, Tiling,
 };
 use tsgemm_net::Comm;
 use tsgemm_pool::{nnz_chunks_range, ThreadPool};
@@ -29,23 +30,8 @@ tsgemm_net::stats_struct! {
     }
 }
 
-/// Configuration: tile geometry and stat tag.
-#[derive(Clone, Debug)]
-pub struct SddmmConfig {
-    pub tile_height: Option<usize>,
-    pub tile_width: Option<usize>,
-    pub tag: String,
-}
-
-impl Default for SddmmConfig {
-    fn default() -> Self {
-        Self {
-            tile_height: None,
-            tile_width: None,
-            tag: "sddmm".to_string(),
-        }
-    }
-}
+/// Configuration: tile geometry and stat tag (default tag `sddmm`).
+pub type SddmmConfig = TileConfig;
 
 /// `⟨x, y⟩` of two rows sorted by column, and its merge-join work: the
 /// entries of both rows.
@@ -87,6 +73,7 @@ pub fn dist_sddmm(
     assert_eq!(sc.dist, dist, "S^c must follow S's distribution");
     let (my_lo, _) = dist.range(me);
 
+    let tag = cfg.tag_or("sddmm");
     let tiling = Tiling::sized(dist, cfg.tile_height, cfg.tile_width);
     let buckets = TileBuckets::build(sc, &tiling);
     let (zcol_lo, _) = sc.col_range();
@@ -108,7 +95,7 @@ pub fn dist_sddmm(
             for (i, bucket) in buckets.step(rb, cb).filter(|&(i, _)| i != me) {
                 pack_rows(needed_rows(bucket), &z.local, zcol_lo, &mut zsend[i]);
             }
-            let zrecv = comm.alltoallv(zsend, format!("{}:zfetch", cfg.tag));
+            let zrecv = comm.alltoallv(zsend, format!("{tag}:zfetch"));
             let received: usize = zrecv.iter().map(Vec::len).sum();
             comm.note_working_set((received * std::mem::size_of::<Trip<f64>>()) as u64);
             let (cb_lo, cb_hi) = tiling.col_band_range(cb);
@@ -152,7 +139,7 @@ pub fn dist_sddmm(
                     (trips, w)
                 }
             });
-            for (trips, w) in kernel_lanes(comm, &pool, &cfg.tag, jobs) {
+            for (trips, w) in kernel_lanes(comm, &pool, tag, jobs) {
                 out_trips.extend(trips);
                 flops += w;
             }
@@ -163,7 +150,7 @@ pub fn dist_sddmm(
     stats.flops = flops;
     if comm.trace_on() {
         use tsgemm_net::Metrics;
-        comm.metrics(|m| m.merge(&stats.registry(&cfg.tag)));
+        comm.metrics(|m| m.merge(&stats.registry(tag)));
     }
     let o = csr_from_unique_triplets(s.local_rows(), dist.n(), out_trips);
     (o, stats)

@@ -14,7 +14,7 @@
 
 use crate::colpart::ColBlocks;
 use crate::dist::DistCsr;
-use crate::tiling::{kernel_lanes, needed_rows, RowIndex, TileBuckets, Tiling};
+use crate::tiling::{kernel_lanes, needed_rows, RowIndex, TileBuckets, TileConfig, Tiling};
 use tsgemm_net::Comm;
 use tsgemm_pool::{nnz_chunks_range, ThreadPool};
 use tsgemm_sparse::semiring::Semiring;
@@ -40,23 +40,8 @@ tsgemm_net::stats_struct! {
     }
 }
 
-/// Configuration: tile geometry and stat tag.
-#[derive(Clone, Debug)]
-pub struct SpmmConfig {
-    pub tile_height: Option<usize>,
-    pub tile_width: Option<usize>,
-    pub tag: String,
-}
-
-impl Default for SpmmConfig {
-    fn default() -> Self {
-        Self {
-            tile_height: None,
-            tile_width: None,
-            tag: "spmm".to_string(),
-        }
-    }
-}
+/// Configuration: tile geometry and stat tag (default tag `spmm`).
+pub type SpmmConfig = TileConfig;
 
 /// Distributed SpMM over the tiled schedule. `b_dense` holds this rank's
 /// rows of the dense operand; returns this rank's dense `C` rows.
@@ -79,6 +64,7 @@ pub fn dist_spmm<S: Semiring>(
     let d = b_dense.ncols();
     let (my_lo, _) = dist.range(me);
 
+    let tag = cfg.tag_or("spmm");
     let tiling = Tiling::sized(dist, cfg.tile_height, cfg.tile_width);
     let buckets = TileBuckets::build(ac, &tiling);
 
@@ -105,8 +91,8 @@ pub fn dist_spmm<S: Semiring>(
                     stats.rows_shipped += 1;
                 }
             }
-            let id_recv = comm.alltoallv(id_send, format!("{}:ids", cfg.tag));
-            let val_recv = comm.alltoallv(val_send, format!("{}:vals", cfg.tag));
+            let id_recv = comm.alltoallv(id_send, format!("{tag}:ids"));
+            let val_recv = comm.alltoallv(val_send, format!("{tag}:vals"));
 
             // Tile-owner role: dense accumulate (streaming-friendly).
             let recv_bytes: u64 = val_recv
@@ -156,7 +142,7 @@ pub fn dist_spmm<S: Semiring>(
                     f
                 });
             }
-            flops += kernel_lanes(comm, &pool, &cfg.tag, jobs)
+            flops += kernel_lanes(comm, &pool, tag, jobs)
                 .into_iter()
                 .sum::<u64>();
         }
@@ -166,7 +152,7 @@ pub fn dist_spmm<S: Semiring>(
     comm.add_flops(flops / DENSE_FLOP_DISCOUNT.max(1));
     if comm.trace_on() {
         use tsgemm_net::Metrics;
-        comm.metrics(|m| m.merge(&stats.registry(&cfg.tag)));
+        comm.metrics(|m| m.merge(&stats.registry(tag)));
     }
     (c, stats)
 }

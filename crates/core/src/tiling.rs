@@ -22,6 +22,29 @@ use tsgemm_net::Comm;
 use tsgemm_pool::{Job, ThreadPool};
 use tsgemm_sparse::{Csr, Idx};
 
+/// Tile sizes and record tag of one SpMM or SDDMM call.
+#[derive(Clone, Debug, Default)]
+pub struct TileConfig {
+    /// Tile height; `None` = the full row block (`n/p`, Table IV default).
+    pub tile_height: Option<usize>,
+    /// Tile width in global columns; `None` = `16·n/p` (Table IV default).
+    pub tile_width: Option<usize>,
+    /// Tag prefix for communication records; empty means the kernel's own
+    /// name (`spmm`, `sddmm`).
+    pub tag: String,
+}
+
+impl TileConfig {
+    /// The record tag: [`TileConfig::tag`], or `kernel` when that is empty.
+    pub(crate) fn tag_or<'a>(&'a self, kernel: &'a str) -> &'a str {
+        if self.tag.is_empty() {
+            kernel
+        } else {
+            &self.tag
+        }
+    }
+}
+
 /// Tile grid geometry, uniform across ranks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Tiling {

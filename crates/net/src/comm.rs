@@ -26,26 +26,26 @@
 //! returns a typed [`CommError`] (the form fault-tolerant callers use, and
 //! the only form that can observe injected faults), and the classic
 //! infallible wrapper that delegates and panics on error — preserving the
-//! fail-fast MPI behaviour for callers that want it. When a rank runs under
-//! [`crate::World::try_run`] with a non-empty [`crate::FaultPlan`], barrier
-//! waits poll a shared [`crate::fault::FailureBoard`] so a dead peer
-//! surfaces as [`CommError::PeerExited`] instead of an eternal hang. Under
-//! [`crate::World::run`] a panicking rank poisons the groups instead, and
-//! the peers parked on them unwind.
+//! fail-fast MPI behaviour for callers that want it. Under
+//! [`crate::World::run`] a panicking rank poisons the groups, and the peers
+//! parked on them unwind. When every unfinished rank is parked, the
+//! scheduler reports a stall to each of them: under
+//! [`crate::World::try_run`] with a non-empty [`crate::FaultPlan`], a wait
+//! whose missing peer the shared [`crate::fault::FailureBoard`] marks
+//! failed or done ends in [`CommError::PeerExited`]; any other stall panics,
+//! naming the collective each rank was parked on, instead of hanging.
 
 use crate::fault::{CommError, FailureInfo, FaultCtx, FaultKind, ParkedPosition};
 use crate::flight::{FlightEventKind, FlightRecorder};
 use crate::metrics::MetricsRegistry;
 use crate::rank_log::{lock, RankLog};
+use crate::sched::Sched;
 use crate::slab::{Declare, Payload, Slab, Wake};
 use crate::stats::{CollKind, CollectiveRecord, GroupInfo};
 use crate::trace::TraceConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// How often a fault-aware barrier wait re-checks the failure board.
-const PARK_POLL: Duration = Duration::from_millis(2);
+use std::time::Instant;
 
 /// Marker payload substituted by [`FaultKind::Corrupt`]; receivers fail the
 /// typed downcast and report [`CommError::PayloadTypeMismatch`].
@@ -143,9 +143,9 @@ pub(crate) struct GroupShared {
 }
 
 impl GroupShared {
-    pub(crate) fn new(world_ranks: Vec<usize>) -> Arc<Self> {
+    pub(crate) fn new(world_ranks: Vec<usize>, sched: Arc<Sched>) -> Arc<Self> {
         Arc::new(Self {
-            slab: Slab::new(world_ranks.len()),
+            slab: Slab::new(&world_ranks, sched),
             info: Arc::new(GroupInfo { world_ranks }),
             splits: Mutex::new(HashMap::new()),
         })
@@ -424,23 +424,19 @@ impl Comm {
         if let Some(ctx) = &self.fault {
             ctx.board.set_parked(ctx.world_rank, c.parked());
         }
-        if let Some(gen) = slab.arrive() {
-            let poll = self.fault.as_ref().map(|_| PARK_POLL);
-            loop {
-                match slab.wait(gen, poll) {
-                    Wake::Released => break,
-                    Wake::Poisoned => panic!(
-                        "collective aborted: a peer rank panicked while rank {} \
-                         waited on {:?} #{} (tag '{}')",
-                        self.rank, c.kind, c.seq, c.tag
-                    ),
-                    Wake::TimedOut => {
-                        if let Some(err) = self.exited_peer(c) {
-                            return Err(self.fatal(err, c));
-                        }
-                    }
-                }
-            }
+        match slab.barrier(self.rank, || self.exited_peer(c)) {
+            Ok(Wake::Released) => {}
+            Ok(Wake::Poisoned) => panic!(
+                "collective aborted: a peer rank panicked while rank {} \
+                 waited on {:?} #{} (tag '{}')",
+                self.rank, c.kind, c.seq, c.tag
+            ),
+            Ok(Wake::Stalled) => panic!(
+                "collective stalled: rank {} waited on {:?} #{} (tag '{}') \
+                 while every unfinished rank was parked",
+                self.rank, c.kind, c.seq, c.tag
+            ),
+            Err(err) => return Err(self.fatal(err, c)),
         }
         for src in 0..self.size() {
             let got = slab.stamp(c.seq, src);
@@ -994,9 +990,9 @@ impl Comm {
 
         let shared = {
             let mut splits = lock(&self.group.splits);
-            let sub = splits
-                .entry((gen, color))
-                .or_insert_with(|| GroupShared::new(world_ranks));
+            let sub = splits.entry((gen, color)).or_insert_with(|| {
+                GroupShared::new(world_ranks, Arc::clone(self.group.slab.sched()))
+            });
             // Checked under the lock `GroupShared::poison` walks the splits
             // with, so a group split off a poisoned parent is never missed.
             if self.group.slab.is_poisoned() {

@@ -4,7 +4,8 @@
 //! that substrate with an in-process runtime that executes the *same
 //! distributed algorithms* faithfully:
 //!
-//! * [`world::World::run`] launches `p` ranks as OS threads;
+//! * [`world::World::run`] runs `p` ranks as stackful coroutines pinned to
+//!   `min(p, nproc)` worker threads (`sched.rs`, `coro.rs`);
 //! * [`comm::Comm`] provides lock-step collectives — `alltoallv`,
 //!   `allgatherv`, `bcast`, `allreduce`, `gatherv`, `barrier` and
 //!   `split` (sub-communicators for the SUMMA grids) — over one exchange
@@ -17,9 +18,9 @@
 //!   analysis (§III-E), with distinct intra-/inter-node bandwidths and a
 //!   flops-based compute term.
 //!
-//! The separation matters on this host (a single core): measured wall-clock
-//! across oversubscribed thread-ranks is meaningless, but volumes are exact
-//! and the α–β model turns them into defensible scaling shapes. Harnesses
+//! The separation matters on a host with a few cores: measured wall-clock
+//! of many ranks sharing them says little about a cluster, but volumes are
+//! exact and the α–β model turns them into defensible scaling shapes. Harnesses
 //! report both measured and modeled numbers.
 //!
 //! The [`fault`] module adds a deterministic fault-injection layer on top:
@@ -31,12 +32,13 @@
 
 pub mod alloc;
 pub mod comm;
+mod coro;
 pub mod cost;
 pub mod fault;
 pub mod flight;
-mod futex;
 pub mod metrics;
 mod rank_log;
+mod sched;
 mod slab;
 pub mod stats;
 pub mod telemetry;

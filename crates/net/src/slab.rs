@@ -20,29 +20,24 @@
 //! skips the slot entirely: an exchange in which few (src, dst) pairs carry
 //! data costs a few locks, not p² of them.
 //!
-//! The barrier spins briefly, then sleeps on one 32-bit wake word
-//! (`futex.rs`). A waiter loads the word, re-checks the generation and the
-//! poison flag, and sleeps only while the word still holds what it loaded.
-//! The last arriver bumps the generation, then the word, and wakes every
-//! sleeper with one call; a release that lands between a waiter's check and
-//! its sleep changes the word, so the sleep returns at once and no wake-up
-//! is lost. [`Slab::poison`] bumps the word the same way and makes every
-//! waiter report [`Wake::Poisoned`].
+//! The barrier parks its waiters on the rank scheduler (`sched.rs`). A
+//! waiter arrives, publishes a park ticket in its waiter cell, re-checks
+//! the generation and the poison flag, and parks. The last arriver bumps
+//! the generation and presents every member's ticket; [`Slab::poison`]
+//! sets the flag and does the same. Both sides write first and read second
+//! (`SeqCst`), so either the waiter sees the release or the releaser sees
+//! the ticket, and no wake-up is lost. A waiter woken by neither was woken
+//! by a stall: every unfinished rank of the run is parked.
 
-use crate::futex;
 use crate::rank_log::lock;
+use crate::sched::Sched;
 use crate::stats::CollKind;
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// A type-erased posted payload.
 pub(crate) type Payload = Box<dyn Any + Send>;
-
-/// Generation checks a waiter makes before it sleeps. Ranks outnumber host
-/// cores, so a long spin only steals the time the last arriver needs.
-const SPIN: u32 = 16;
 
 /// Stamp of a slot nobody has posted into yet.
 const UNPOSTED: u64 = u64::MAX;
@@ -93,13 +88,15 @@ impl Declare<'_> {
 }
 
 /// How a barrier wait ended.
+#[derive(Debug)]
 pub(crate) enum Wake {
     /// Every member arrived.
     Released,
     /// The group was poisoned: a member panicked and will never arrive.
     Poisoned,
-    /// The poll interval passed without a release.
-    TimedOut,
+    /// A hard stall: every unfinished rank is parked, and nothing changed
+    /// since the last stall.
+    Stalled,
 }
 
 /// Per-group exchange slots plus the generation barrier that releases them.
@@ -107,16 +104,17 @@ pub(crate) struct Slab {
     banks: [Box<[Slot]>; 2],
     arrived: AtomicUsize,
     generation: AtomicU64,
-    /// The futex word: bumped by every release and by [`Slab::poison`].
-    wake: AtomicU32,
-    /// Waiters that are asleep on `wake` or about to sleep on it. A count
-    /// for tests and diagnosis; it orders nothing.
-    parked: AtomicUsize,
     poisoned: AtomicBool,
+    sched: Arc<Sched>,
+    /// World rank of each member: its index in the scheduler.
+    world: Box<[usize]>,
+    /// Each member's latest park ticket (see [`Slab::wait`]).
+    waiting: Box<[AtomicU64]>,
 }
 
 impl Slab {
-    pub(crate) fn new(size: usize) -> Self {
+    pub(crate) fn new(world_ranks: &[usize], sched: Arc<Sched>) -> Self {
+        let size = world_ranks.len();
         let bank = || -> Box<[Slot]> {
             (0..size)
                 .map(|_| Slot {
@@ -130,10 +128,16 @@ impl Slab {
             banks: [bank(), bank()],
             arrived: AtomicUsize::new(0),
             generation: AtomicU64::new(0),
-            wake: AtomicU32::new(0),
-            parked: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
+            sched,
+            world: world_ranks.into(),
+            waiting: (0..size).map(|_| AtomicU64::new(0)).collect(),
         }
+    }
+
+    /// The scheduler this group's ranks park on.
+    pub(crate) fn sched(&self) -> &Arc<Sched> {
+        &self.sched
     }
 
     fn slot(&self, seq: u64, rank: usize) -> &Slot {
@@ -202,14 +206,42 @@ impl Slab {
         out
     }
 
+    /// Arrives at the barrier as `member` and waits for the release.
+    ///
+    /// A soft stall (see `sched.rs`) asks `on_stall` whether the wait can
+    /// end in an error, for example because a peer exited; if not, the
+    /// member parks again. A hard stall returns [`Wake::Stalled`]. Panics,
+    /// before arriving, unless called on the member's own thread.
+    pub(crate) fn barrier<E>(
+        &self,
+        member: usize,
+        mut on_stall: impl FnMut() -> Option<E>,
+    ) -> Result<Wake, E> {
+        self.sched.check_thread(self.world[member]);
+        let Some(gen) = self.arrive() else {
+            return Ok(Wake::Released);
+        };
+        loop {
+            match self.wait(member, gen) {
+                Wake::Stalled if !self.sched.stall_is_hard() => {
+                    if let Some(err) = on_stall() {
+                        self.sched.progressed();
+                        return Err(err);
+                    }
+                }
+                wake => return Ok(wake),
+            }
+        }
+    }
+
     /// Arrives at the barrier. Returns the generation to wait on, or `None`
     /// when this arrival was the last one and released the group.
     ///
     /// Ordering: each arrival's `AcqRel` increment releases the rank's
     /// posting, and the last arriver's increment acquires all of them (the
-    /// increments form one release sequence). Its `Release` store of the
-    /// generation then hands them on to every waiter's `Acquire` load.
-    pub(crate) fn arrive(&self) -> Option<u64> {
+    /// increments form one release sequence). Its store of the generation
+    /// then hands them on to every waiter's load.
+    fn arrive(&self) -> Option<u64> {
         // The generation cannot move before this rank arrives.
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 < self.banks[0].len() {
@@ -218,72 +250,72 @@ impl Slab {
         // `Relaxed` is enough: nobody arrives for `gen + 1` before it has
         // acquired the generation bump below, which this store precedes.
         self.arrived.store(0, Ordering::Relaxed);
-        self.generation.store(gen + 1, Ordering::Release);
+        self.generation.store(gen + 1, Ordering::SeqCst);
         self.wake_all();
         None
     }
 
-    /// Changes the wake word, then wakes every sleeper on it.
+    /// Presents every member's latest ticket. Stale ones (the releaser's
+    /// own, or one left by a wait that ended in a stall) wake nobody.
     fn wake_all(&self) {
-        self.wake.fetch_add(1, Ordering::Release);
-        futex::wake_all(&self.wake);
+        for (&rank, cell) in self.world.iter().zip(self.waiting.iter()) {
+            let t = cell.load(Ordering::SeqCst);
+            if t & 1 == 1 {
+                self.sched.wake(rank, t);
+            }
+        }
     }
 
     fn released(&self, gen: u64) -> bool {
-        self.generation.load(Ordering::Acquire) != gen
+        self.generation.load(Ordering::SeqCst) != gen
     }
 
-    /// Waits for generation `gen` to end. Without `poll` it sleeps until
-    /// released or poisoned; with `poll` it returns [`Wake::TimedOut`]
-    /// after at most that long so the caller can check on its peers.
-    pub(crate) fn wait(&self, gen: u64, poll: Option<Duration>) -> Wake {
-        for _ in 0..SPIN {
-            if self.released(gen) {
-                return Wake::Released;
-            }
-            std::hint::spin_loop();
+    /// Parks `member` until generation `gen` ends, the group is poisoned,
+    /// or the run stalls.
+    fn wait(&self, member: usize, gen: u64) -> Wake {
+        let rank = self.world[member];
+        let ticket = self.sched.ticket(rank);
+        self.waiting[member].store(ticket, Ordering::SeqCst);
+        // A release or poison before the store above could not see the
+        // ticket, so check for one after it.
+        let done = self.released(gen) || self.is_poisoned();
+        if !done || !self.sched.cancel(rank, ticket) {
+            self.sched.park(rank, ticket);
         }
-        loop {
-            // Load the word before the checks: a release or poison after
-            // them changes it, and the sleep below then returns at once.
-            let word = self.wake.load(Ordering::Acquire);
-            if self.released(gen) {
-                return Wake::Released;
-            }
-            if self.poisoned.load(Ordering::Acquire) {
-                return Wake::Poisoned;
-            }
-            self.parked.fetch_add(1, Ordering::Relaxed);
-            futex::wait(&self.wake, word, poll);
-            self.parked.fetch_sub(1, Ordering::Relaxed);
-            if self.released(gen) {
-                return Wake::Released;
-            }
-            if poll.is_some() {
-                return Wake::TimedOut;
-            }
+        if self.released(gen) {
+            Wake::Released
+        } else if self.is_poisoned() {
+            Wake::Poisoned
+        } else {
+            Wake::Stalled
         }
     }
 
-    /// Marks the group dead and wakes every sleeping waiter.
+    /// Marks the group dead and wakes every parked member.
     pub(crate) fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
+        self.poisoned.store(true, Ordering::SeqCst);
         self.wake_all();
     }
 
     pub(crate) fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.poisoned.load(Ordering::SeqCst)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+
+    fn world_slab(p: usize, workers: usize) -> (Arc<Sched>, Slab) {
+        let sched = Sched::with_workers(p, workers);
+        let world: Vec<usize> = (0..p).collect();
+        let slab = Slab::new(&world, Arc::clone(&sched));
+        (sched, slab)
+    }
 
     #[test]
     fn stamps_round_trip_every_kind() {
-        let slab = Slab::new(1);
+        let (_, slab) = world_slab(1, 1);
         assert_eq!(slab.stamp(0, 0), None);
         for (seq, &kind) in KINDS.iter().enumerate() {
             let seq = seq as u64 + (1 << 40);
@@ -296,7 +328,7 @@ mod tests {
 
     #[test]
     fn last_reader_takes_the_payload() {
-        let slab = Slab::new(3);
+        let (_, slab) = world_slab(3, 1);
         slab.post(0, 4, CollKind::Bcast, 2, |lens| {
             lens.set([2]);
             Some(Box::new(vec![1u8, 2]))
@@ -316,7 +348,7 @@ mod tests {
 
     #[test]
     fn a_posting_without_readers_keeps_no_payload() {
-        let slab = Slab::new(2);
+        let (_, slab) = world_slab(2, 1);
         slab.post(1, 6, CollKind::AllToAllV, 0, |lens| {
             lens.set([0, 0]);
             Some(Box::new(vec![Vec::<u8>::new(), Vec::new()]))
@@ -327,104 +359,58 @@ mod tests {
 
     #[test]
     fn barrier_releases_each_generation_once() {
-        let p = 6;
-        let slab = Arc::new(Slab::new(p));
-        std::thread::scope(|s| {
-            for _ in 0..p {
-                let slab = Arc::clone(&slab);
-                s.spawn(move || {
-                    for _ in 0..200 {
-                        if let Some(gen) = slab.arrive() {
-                            assert!(matches!(slab.wait(gen, None), Wake::Released));
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(slab.generation.load(Ordering::Acquire), 200);
-    }
-
-    #[test]
-    fn futex_barrier_survives_poll_timeouts() {
-        // Rank 0 arrives last in every generation: after the others have
-        // arrived and one of their 1 ms polls has timed out. Each waiter
-        // must still see exactly one `Released` per generation, for that
-        // generation.
-        let (p, gens) = (4, 20u64);
-        let slab = Slab::new(p);
-        let timeouts = AtomicU64::new(0);
-        let poll = Some(Duration::from_millis(1));
-        let released: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..p)
-                .map(|rank| {
-                    let (slab, timeouts) = (&slab, &timeouts);
-                    s.spawn(move || {
-                        let mut released = 0u64;
-                        for g in 0..gens {
-                            if rank == 0 {
-                                let before = timeouts.load(Ordering::Acquire);
-                                while slab.arrived.load(Ordering::Acquire) < p - 1
-                                    || timeouts.load(Ordering::Acquire) == before
-                                {
-                                    std::thread::yield_now();
-                                }
-                            }
-                            let Some(gen) = slab.arrive() else {
-                                assert_eq!(rank, 0, "rank 0 arrives last");
-                                assert_eq!(slab.generation.load(Ordering::Acquire), g + 1);
-                                continue;
-                            };
-                            assert_eq!(gen, g, "rank {rank} arrived in the wrong generation");
-                            loop {
-                                match slab.wait(gen, poll) {
-                                    Wake::Released => break,
-                                    Wake::TimedOut => {
-                                        timeouts.fetch_add(1, Ordering::AcqRel);
-                                    }
-                                    Wake::Poisoned => panic!("nobody poisons this slab"),
-                                }
-                            }
-                            released += 1;
-                            // Nobody can start generation g + 1 without this
-                            // rank, so the release seen is exactly g's.
-                            assert_eq!(slab.generation.load(Ordering::Acquire), g + 1);
-                        }
-                        released
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // Every generation has one last arriver (rank 0) and p - 1 waiters.
-        assert_eq!(released[0], 0);
-        assert!(released[1..].iter().all(|&r| r == gens));
-        assert!(timeouts.load(Ordering::Acquire) >= gens);
-        assert_eq!(slab.generation.load(Ordering::Acquire), gens);
-        assert_eq!(slab.parked.load(Ordering::Acquire), 0);
+        // On coroutines (one and two workers) and on threads (six).
+        for workers in [1, 2, 6] {
+            let p = 6;
+            let (sched, slab) = world_slab(p, workers);
+            let out = sched.run(|rank| {
+                for g in 0..200u64 {
+                    let wake = slab.barrier(rank, || None::<()>);
+                    assert!(matches!(wake, Ok(Wake::Released)), "{wake:?}");
+                    // Nobody can start generation g + 1 without this rank,
+                    // so the release seen is exactly g's.
+                    assert_eq!(slab.generation.load(Ordering::SeqCst), g + 1);
+                }
+            });
+            assert!(out.iter().all(|r| r.is_ok()), "workers={workers}");
+            assert_eq!(slab.generation.load(Ordering::SeqCst), 200);
+        }
     }
 
     #[test]
     fn poison_wakes_parked_waiters() {
-        let slab = Arc::new(Slab::new(3));
-        std::thread::scope(|s| {
-            let waiters: Vec<_> = (0..2)
-                .map(|_| {
-                    let slab = Arc::clone(&slab);
-                    s.spawn(move || {
-                        let gen = slab.arrive().expect("rank 2 never arrives");
-                        matches!(slab.wait(gen, None), Wake::Poisoned)
-                    })
-                })
-                .collect();
-            // Poison only once both waiters have passed their checks and
-            // committed to sleeping.
-            while slab.parked.load(Ordering::Acquire) < 2 {
-                std::thread::yield_now();
+        // One worker runs the ranks in order, so ranks 0 and 1 are parked
+        // when rank 2 poisons the group.
+        let (sched, slab) = world_slab(3, 1);
+        let out = sched.run(|rank| {
+            if rank == 2 {
+                assert_eq!(sched.parked(), 2);
+                slab.poison();
+                return true;
             }
-            slab.poison();
-            assert!(waiters.into_iter().all(|h| h.join().unwrap()));
+            matches!(slab.barrier(rank, || None::<()>), Ok(Wake::Poisoned))
         });
+        assert!(out.into_iter().all(|r| r.unwrap()));
         assert!(slab.is_poisoned());
-        assert_eq!(slab.parked.load(Ordering::Acquire), 0);
+        assert_eq!(sched.parked(), 0);
+    }
+
+    #[test]
+    fn a_stall_asks_each_waiter_then_turns_hard() {
+        // Rank 2 returns without arriving. The first stall asks ranks 0
+        // and 1 for an error; rank 0 gives one, rank 1 parks again, and the
+        // stall after that (no progress since) is hard.
+        for workers in [1, 3] {
+            let (sched, slab) = world_slab(3, workers);
+            let out = sched.run(|rank| match rank {
+                2 => Ok(Wake::Released),
+                0 => slab.barrier(rank, || Some("peer gone")),
+                _ => slab.barrier(rank, || None),
+            });
+            let out: Vec<_> = out.into_iter().map(|r| r.unwrap()).collect();
+            assert!(matches!(out[0], Err("peer gone")), "{:?}", out[0]);
+            assert!(matches!(out[1], Ok(Wake::Stalled)), "{:?}", out[1]);
+            assert!(sched.stall_is_hard());
+        }
     }
 }

@@ -29,7 +29,7 @@
 //!   collective queue depth (posted − completed).
 //! * **Sampling profiler** — the same tick turns each rank's copied
 //!   [`crate::SpanGuard`] stack into folded-stack form, i.e. flamegraph
-//!   input. A rank thread pays one push and one pop per span.
+//!   input. A rank pays one push and one pop per span.
 //! * **Scrape endpoint** — a `std::net::TcpListener` HTTP server (no
 //!   dependencies) serving Prometheus text exposition at `/metrics`, a JSON
 //!   snapshot at `/snapshot.json` and folded stacks at `/stacks.folded`.
@@ -166,7 +166,7 @@ impl AggState {
     /// each profile segment added since the last visit into the matrix.
     /// `bytes_to` is keyed by world rank, which is what the matrix indexes,
     /// so split communicators land in the right cells. Lock order: the
-    /// state lock, then one rank log at a time; rank threads never take
+    /// state lock, then one rank log at a time; ranks never take
     /// the state lock.
     fn read(&mut self) {
         let p = self.p;

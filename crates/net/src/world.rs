@@ -1,4 +1,4 @@
-//! The run harness: launches `p` ranks as threads and collects profiles.
+//! The run harness: runs `p` ranks on the scheduler and collects profiles.
 
 use crate::comm::{Comm, GroupShared};
 use crate::fault::{
@@ -7,6 +7,7 @@ use crate::fault::{
 use crate::flight::FlightRecorder;
 use crate::metrics::MetricsRegistry;
 use crate::rank_log::{lock, RankLog};
+use crate::sched::Sched;
 use crate::stats::RankProfile;
 use crate::trace::TraceConfig;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -78,10 +79,23 @@ struct Launched<R> {
 }
 
 /// Entry point to the simulated cluster.
+///
+/// A run's ranks are pinned to `min(p, nproc)` worker threads; when they
+/// outnumber the workers they run as coroutines, and a rank waiting in a
+/// collective yields its worker to the next runnable rank. Ranks may
+/// therefore synchronise only through [`Comm`]: a rank that waits on a peer
+/// any other way (spinning on an atomic, a `std::sync::Barrier`, a channel)
+/// blocks its worker and every rank pinned to it, and can deadlock the run.
+/// A rank must also call its collectives on the thread it was started on:
+/// one issued from a thread the rank spawned panics.
+///
+/// A thread CPU clock read inside a rank reads its worker's clock, so a
+/// region that spans a collective also counts the other ranks that worker
+/// ran meanwhile.
 pub struct World;
 
 impl World {
-    /// Runs `f` on `p` ranks (threads); blocks until all complete.
+    /// Runs `f` on `p` ranks; blocks until all complete.
     ///
     /// Each rank receives a mutable [`Comm`] for the world group. Panics in
     /// any rank propagate (the run aborts with the first rank's panic),
@@ -159,12 +173,13 @@ impl World {
     /// Fault-aware variant of [`World::run`]: runs `f` on `p` ranks under
     /// `plan` and reports per-rank outcomes instead of panicking.
     ///
-    /// With a non-empty plan every rank gets a fault context: collective
-    /// waits poll a shared [`FailureBoard`], so a crashed peer surfaces as a
-    /// typed [`crate::CommError::PeerExited`] rather than a hang. With an
-    /// empty plan the communication paths are *exactly* those of
-    /// [`World::run`] — no polling, no extra state — so results and profiles
-    /// are identical to an uninstrumented run.
+    /// With a non-empty plan every rank gets a fault context: when every
+    /// unfinished rank is parked, a wait whose missing peer the shared
+    /// [`FailureBoard`] marks failed or done ends in a typed
+    /// [`crate::CommError::PeerExited`] rather than a hang. With an empty
+    /// plan the communication paths are *exactly* those of [`World::run`]
+    /// — no extra state — so results and profiles are identical to an
+    /// uninstrumented run.
     ///
     /// A rank that panics (including injected crashes) is caught per-rank;
     /// its failure, and the parked positions of every rank that was waiting
@@ -273,10 +288,10 @@ impl World {
         }
     }
 
-    /// Runs `f` on `p` rank threads over one world group. `enter` prepares
-    /// each rank's communicator before `f` runs; `exit` sees each rank's
-    /// outcome on the rank thread, before the rank's trailing segment is
-    /// closed. Every rank is joined and the telemetry run is sealed before
+    /// Runs `f` on `p` ranks over one world group. `enter` prepares each
+    /// rank's communicator before `f` runs; `exit` sees each rank's
+    /// outcome on the rank, before the rank's trailing segment is
+    /// closed. Every rank has finished and the telemetry run is sealed before
     /// this returns, so a caller that re-raises a rank's panic leaves the
     /// endpoint reporting a finished run.
     fn launch<R, F>(
@@ -291,7 +306,8 @@ impl World {
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
         assert!(p > 0, "need at least one rank");
-        let group = GroupShared::new((0..p).collect());
+        let sched = Sched::new(p);
+        let group = GroupShared::new((0..p).collect(), Arc::clone(&sched));
         let telemetry = crate::telemetry::global();
         let live = telemetry.is_some();
         let logs: Vec<Arc<Mutex<RankLog>>> = (0..p)
@@ -301,30 +317,21 @@ impl World {
             t.begin_run(&logs);
         }
 
-        let outcomes: Vec<RankOutcome<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = logs
-                .iter()
-                .enumerate()
-                .map(|(rank, log)| {
-                    let (group, f, enter, exit) = (&group, &f, &enter, &exit);
-                    scope.spawn(move || {
-                        let mut comm =
-                            Comm::new(Arc::clone(group), rank, Arc::clone(log), trace, live);
-                        enter(&mut comm);
-                        let out = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
-                        exit(rank, &out, group);
-                        lock(log).profile.finish();
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // A join error is only reachable if the bookkeeping above
-                // panicked; it is reported like a rank panic.
-                .map(|h| h.join().unwrap_or_else(Err))
-                .collect()
-        });
+        let outcomes: Vec<RankOutcome<R>> = sched
+            .run(|rank| {
+                let log = &logs[rank];
+                let mut comm = Comm::new(Arc::clone(&group), rank, Arc::clone(log), trace, live);
+                enter(&mut comm);
+                let out = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
+                exit(rank, &out, &group);
+                lock(log).profile.finish();
+                out
+            })
+            .into_iter()
+            // An outer error is only reachable if the bookkeeping above
+            // panicked; it is reported like a rank panic.
+            .map(|out| out.unwrap_or_else(Err))
+            .collect();
 
         if let Some(t) = telemetry {
             // Seal the run, failed or not: the endpoint keeps serving this
@@ -399,9 +406,89 @@ mod tests {
 
     #[test]
     fn many_ranks_scale() {
-        // Smoke test that a large thread count works on this host.
+        // Far more ranks than host cores: they run as coroutines on
+        // `nproc` worker threads.
         let out = World::run(64, |comm| comm.allreduce(1u64, |a, b| a + b, "n"));
         assert!(out.results.iter().all(|&v| v == 64));
+    }
+
+    #[test]
+    fn ranks_far_beyond_workers_keep_lock_step() {
+        // 1 000 rounds at p = 256, alternating an allreduce with an
+        // alltoallv in which rank r sends `round + r` to rank r + 1.
+        let p = 256;
+        let out = World::run(p, |comm| {
+            let me = comm.rank();
+            let mut got = 0u64;
+            for round in 0..1000u64 {
+                if round % 2 == 0 {
+                    let sum = comm.allreduce(me as u64 + round, |a, b| a + b, "mix:sum");
+                    assert_eq!(sum, (p * (p - 1) / 2) as u64 + p as u64 * round);
+                } else {
+                    let mut sends = vec![Vec::new(); p];
+                    sends[(me + 1) % p].push(round + me as u64);
+                    let recv = comm.alltoallv(sends, "mix:a2a");
+                    let from = (me + p - 1) % p;
+                    assert_eq!(recv[from], [round + from as u64]);
+                    got += recv.iter().map(Vec::len).sum::<usize>() as u64;
+                }
+            }
+            got
+        });
+        assert!(out.results.iter().all(|&n| n == 500));
+    }
+
+    /// Rank counts that run on worker stacks and, on coroutine targets with
+    /// fewer cores, as coroutines.
+    fn both_launch_modes() -> [usize; 2] {
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        [2, 2 * nproc + 1]
+    }
+
+    #[test]
+    fn a_stall_panics_naming_the_parked_collective() {
+        // The last rank returns before the barrier its peers wait in; no
+        // rank can ever arrive, and the run must say where it stuck.
+        for p in both_launch_modes() {
+            let out = catch_unwind(|| {
+                World::run(p, |comm| {
+                    if comm.rank() + 1 < comm.size() {
+                        comm.barrier("never");
+                    }
+                })
+            });
+            let payload = out.err().expect("a stalled run must panic");
+            let msg = panic_cause(payload.as_ref());
+            assert!(msg.contains("stalled"), "p={p}: {msg}");
+            assert!(msg.contains("Barrier #0 (tag 'never')"), "p={p}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_collective_from_a_foreign_thread_panics() {
+        // Rank 0 issues its barrier from a thread of its own. Waiting there
+        // would run the rank's context on the wrong thread, so the call must
+        // panic, and the run must end with that panic rather than hang.
+        for p in both_launch_modes() {
+            let out = catch_unwind(|| {
+                World::run(p, |comm| {
+                    if comm.rank() == 0 {
+                        let joined = std::thread::scope(|s| s.spawn(|| comm.barrier("x")).join());
+                        if let Err(payload) = joined {
+                            resume_unwind(payload);
+                        }
+                    } else {
+                        comm.barrier("x");
+                    }
+                })
+            });
+            let payload = out.err().expect("a foreign-thread collective must panic");
+            let msg = panic_cause(payload.as_ref());
+            assert!(
+                msg.contains("rank 0 waited in a collective on a thread other than its own"),
+                "p={p}: {msg}"
+            );
+        }
     }
 
     #[test]

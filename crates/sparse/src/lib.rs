@@ -8,9 +8,8 @@
 //! * accumulators: dense [`accum::Spa`] and open-addressing [`accum::HashAccum`]
 //!   (§III-C of the paper);
 //! * local kernels: row-wise Gustavson SpGEMM ([`spgemm`]), CSR×dense SpMM
-//!   ([`spmm`]), sparse matrix × sparse vector ([`spmspv`]), semiring merge of
-//!   partial results ([`merge`]), element-wise set ops ([`ewise`]) and top-k
-//!   sparsification ([`sparsify`]);
+//!   ([`spmm`]), semiring merge of partial results ([`merge`]), element-wise
+//!   set ops ([`ewise`]) and top-k sparsification ([`sparsify`]);
 //! * workload generators matching Table V ([`gen`]), MatrixMarket I/O
 //!   ([`io`]), and bandwidth-reducing reordering ([`perm`], RCM) — the
 //!   preprocessing that restores the crawl-order locality the 1-D
@@ -34,7 +33,6 @@ pub mod semiring;
 pub mod sparsify;
 pub mod spgemm;
 pub mod spmm;
-pub mod spmspv;
 
 /// Global row/column index type. `u32` is sufficient for every workload in
 /// the paper's evaluation scaled to a single machine and halves index
