@@ -776,3 +776,69 @@ const TS_SWITCH: Pin<&[BfsIterStats]> = Pin {
     collectives: 25,
     modeled_s: 2.7470293333333334e-5,
 };
+
+#[test]
+fn msbfs_ts_facts_are_pinned() {
+    let (g, sources) = bfs_graph();
+    let g = g.map_values(|_| true);
+    let lay = lay_out_square::<BoolAndOr>(&g, BFS_P);
+    let narrow = BfsConfig {
+        ts: TsConfig {
+            tile_width: tile_width(true, BFS_P),
+            ..BfsConfig::default().ts
+        },
+        ..BfsConfig::default()
+    };
+    for (label, cfg, want) in [
+        ("msbfs_ts", BfsConfig::default(), TS_WIDE),
+        ("msbfs_ts narrow", narrow, TS_NARROW),
+    ] {
+        at_pool_sizes(
+            label,
+            BFS_P,
+            |comm| {
+                let (a, ac) = &lay[comm.rank()];
+                msbfs_ts(comm, a, ac, &sources, &cfg)
+            },
+            |results| {
+                let blocks: Vec<Csr<bool>> = results.iter().map(|r| r.0.clone()).collect();
+                (
+                    checksum(&blocks, |v| v as u64),
+                    bfs_stats(results.iter().map(|r| r.1.clone())),
+                )
+            },
+            bfs_pin(want),
+        );
+    }
+}
+
+// Captured before the BFS multiplies moved onto one tile plan per
+// traversal with the visited set as a complement mask.
+const TS_WIDE: Pin<&[BfsIterStats]> = Pin {
+    checksum: 0x33a74ac2a07c8325,
+    stats: BFS_ITERS,
+    bytes: &[
+        ("count", 576),
+        ("modes", 720),
+        ("bfetch", 136848),
+        ("cret", 35724),
+        ("disc", 480),
+    ],
+    order: 0xeb7597618db8a1a2,
+    collectives: 26,
+    modeled_s: 3.9829599999999996e-5,
+};
+const TS_NARROW: Pin<&[BfsIterStats]> = Pin {
+    checksum: 0x33a74ac2a07c8325,
+    stats: BFS_ITERS,
+    bytes: &[
+        ("count", 576),
+        ("modes", 720),
+        ("bfetch", 136848),
+        ("cret", 35724),
+        ("disc", 480),
+    ],
+    order: 0x47d045b37780d7ee,
+    collectives: 36,
+    modeled_s: 4.140504e-5,
+};
