@@ -14,7 +14,7 @@
 use crate::msbfs::{frontier_loop, init_frontier_block, BfsIterStats};
 use tsgemm_core::colpart::ColBlocks;
 use tsgemm_core::dist::DistCsr;
-use tsgemm_core::exec::{ts_spgemm, TsConfig};
+use tsgemm_core::exec::{TsConfig, TsPlan};
 use tsgemm_net::Comm;
 use tsgemm_sparse::semiring::BoolAndOr;
 use tsgemm_sparse::{Coo, Csr, Idx, MinPlusF64};
@@ -40,17 +40,19 @@ pub fn msbfs_levels(
         }
     };
     add_level(0, &f0);
-    let multiply = |comm: &mut Comm, iter: usize, f: Csr<bool>, _| {
+    let cfg = TsConfig {
+        tag: tag.to_string(),
+        ..TsConfig::default()
+    };
+    let plan = TsPlan::new(comm, a, ac, &cfg);
+    let multiply = |comm: &mut Comm, iter: usize, f: Csr<bool>, s: &Csr<bool>, _| {
         let f = DistCsr {
             dist,
             rank: comm.rank(),
             local: f,
         };
-        let tcfg = TsConfig {
-            tag: format!("{tag}:i{iter}"),
-            ..TsConfig::default()
-        };
-        (ts_spgemm::<BoolAndOr>(comm, a, ac, &f, &tcfg).0, false)
+        let tag = format!("{tag}:i{iter}");
+        (plan.multiply::<BoolAndOr>(comm, &f, Some(s), &tag).0, false)
     };
     let (_, stats) = frontier_loop::<BoolAndOr>(comm, f0, max_iters, tag, multiply, |iter, f| {
         add_level(iter + 1, f)

@@ -8,12 +8,18 @@
 //! ends — which is exactly the regime TS-SpGEMM's adaptive schedule targets
 //! (Fig. 12). Following §V-F, when the frontier is less than 50% sparse the
 //! multiply can switch to the SpMM form of the same schedule.
+//!
+//! The TS-SpGEMM traversals build one [`TsPlan`] per traversal and hand it
+//! `S` as a complement mask, so each multiply returns `F = N \ S` directly:
+//! the tile owner drops the visited columns as each row becomes final, and
+//! `N` is never materialised. The SUMMA and SpMM forms compute `N` and
+//! filter it themselves.
 
 use tsgemm_baselines::grid::Grid2d;
 use tsgemm_baselines::summa2d::{extract_block, summa_stages};
 use tsgemm_core::colpart::ColBlocks;
 use tsgemm_core::dist::DistCsr;
-use tsgemm_core::exec::{ts_spgemm, TsConfig};
+use tsgemm_core::exec::{TsConfig, TsPlan};
 use tsgemm_core::part::BlockDist;
 use tsgemm_core::spmm::dist_spmm;
 use tsgemm_net::Comm;
@@ -84,9 +90,10 @@ pub fn init_frontier_block(dist: BlockDist, rank: usize, sources: &[Idx]) -> Dis
 /// set `S`. While the global frontier is non-empty, for at most `max_iters`
 /// iterations `k`:
 ///
-/// * `N ← multiply(comm, k, F, global nnz of F)`, which also says whether
-///   it used the SpMM form;
-/// * `F ← N \ S`, `S ← S ⊕ F`, then `fresh(k, F)`;
+/// * `F ← multiply(comm, k, F, S, global nnz of F)`, which returns the
+///   unvisited part `N \ S` of `N = A ⊗ F` and says whether it used the
+///   SpMM form;
+/// * `S ← S ⊕ F`, then `fresh(k, F)`;
 /// * two AllReduces agree on the next frontier's size and the discovered
 ///   count (tags `{tag}:i{k}:count` and `{tag}:i{k}:disc`; the first
 ///   frontier is counted under `{tag}:i0:count`).
@@ -97,7 +104,7 @@ pub(crate) fn frontier_loop<S: Semiring>(
     mut f: Csr<S::T>,
     max_iters: usize,
     tag: &str,
-    mut multiply: impl FnMut(&mut Comm, usize, Csr<S::T>, u64) -> (Csr<S::T>, bool),
+    mut multiply: impl FnMut(&mut Comm, usize, Csr<S::T>, &Csr<S::T>, u64) -> (Csr<S::T>, bool),
     mut fresh: impl FnMut(usize, &Csr<S::T>),
 ) -> (Csr<S::T>, Vec<BfsIterStats>) {
     let mut s = f.clone();
@@ -108,9 +115,9 @@ pub(crate) fn frontier_loop<S: Semiring>(
         if frontier_nnz == 0 {
             break;
         }
-        let (next, used_spmm) = multiply(comm, iter, f, frontier_nnz);
-        // F ← N \ S ; S ← S ⊕ N (lines 7-8).
-        f = andnot(&next, &s);
+        // F ← N \ S inside the multiply ; S ← S ⊕ F (lines 7-8).
+        let used_spmm;
+        (f, used_spmm) = multiply(comm, iter, f, &s, frontier_nnz);
         s = union::<S>(&s, &f);
         fresh(iter, &f);
         // One end-of-iteration reduction doubles as the next loop guard.
@@ -143,7 +150,8 @@ pub fn msbfs_ts(
     let cells = dist.n() as f64 * sources.len() as f64;
     let base = &cfg.ts.tag;
     let f0 = init_frontier_block(dist, comm.rank(), sources).local;
-    let multiply = |comm: &mut Comm, iter: usize, f: Csr<bool>, frontier_nnz: u64| {
+    let plan = TsPlan::new(comm, a, ac, &cfg.ts);
+    let multiply = |comm: &mut Comm, iter: usize, f: Csr<bool>, s: &Csr<bool>, frontier_nnz| {
         let f = DistCsr {
             dist,
             rank: comm.rank(),
@@ -154,13 +162,10 @@ pub fn msbfs_ts(
             let fd = DenseMat::from_csr::<BoolAndOr>(&f.local);
             let scfg = cfg.ts.tile_config(format!("{base}:i{iter}:spmm"));
             let (cd, _) = dist_spmm::<BoolAndOr>(comm, a, ac, &fd, &scfg);
-            (cd.to_csr::<BoolAndOr>(), true)
+            (andnot(&cd.to_csr::<BoolAndOr>(), s), true)
         } else {
-            let tcfg = TsConfig {
-                tag: format!("{base}:i{iter}"),
-                ..cfg.ts.clone()
-            };
-            (ts_spgemm::<BoolAndOr>(comm, a, ac, &f, &tcfg).0, false)
+            let tag = format!("{base}:i{iter}");
+            (plan.multiply::<BoolAndOr>(comm, &f, Some(s), &tag).0, false)
         }
     };
     let (s, stats) = frontier_loop::<BoolAndOr>(comm, f0, cfg.max_iters, base, multiply, |_, _| {});
@@ -209,7 +214,7 @@ pub fn msbfs_summa2d(
             .collect(),
     );
     let f_block = extract_block::<BoolAndOr>(&f0, rlo..rhi, dlo..dhi);
-    let multiply = |comm: &mut Comm, iter: usize, f_block: Csr<bool>, _| {
+    let multiply = |comm: &mut Comm, iter: usize, f_block: Csr<bool>, s: &Csr<bool>, _| {
         let (c_trips, flops) = summa_stages::<BoolAndOr>(
             &mut grid,
             &a_block,
@@ -222,7 +227,7 @@ pub fn msbfs_summa2d(
         );
         comm.add_flops(flops);
         let next = Coo::from_entries(my_rows, my_dcols, c_trips).to_csr::<BoolAndOr>();
-        (next, false)
+        (andnot(&next, s), false)
     };
     let (s_block, stats) =
         frontier_loop::<BoolAndOr>(comm, f_block, max_iters, tag, multiply, |_, _| {});
@@ -263,10 +268,15 @@ pub fn msbfs_parents(
             .collect(),
     );
     let f0 = DistCsr::from_global_coo::<Sel2ndMinF64>(&f0, dist, me, d).local;
+    let cfg = TsConfig {
+        tag: tag.to_string(),
+        ..TsConfig::default()
+    };
+    let plan = TsPlan::new(comm, a_num, ac_num, &cfg);
     // N(r, j) = min over frontier neighbours of (their id + 1): the sel2nd
     // ⊗ carries the frontier value (the candidate parent) and min ⊕
     // resolves ties. The A value is ignored by sel2nd.
-    let multiply = |comm: &mut Comm, iter: usize, f: Csr<f64>, _| {
+    let multiply = |comm: &mut Comm, iter: usize, f: Csr<f64>, s: &Csr<f64>, _| {
         // Frontier must carry the *discoverer's* id, so re-stamp each
         // frontier row's values with its own vertex id before expanding.
         let stamps = f
@@ -279,12 +289,9 @@ pub fn msbfs_parents(
             rank: me,
             local: Csr::from_parts(f.nrows(), f.ncols(), indptr, indices, stamps),
         };
-        let tcfg = TsConfig {
-            tag: format!("{tag}:i{iter}"),
-            ..TsConfig::default()
-        };
+        let tag = format!("{tag}:i{iter}");
         (
-            ts_spgemm::<Sel2ndMinF64>(comm, a_num, ac_num, &fd, &tcfg).0,
+            plan.multiply::<Sel2ndMinF64>(comm, &fd, Some(s), &tag).0,
             false,
         )
     };

@@ -1,12 +1,10 @@
 //! Local-kernel micro-benchmarks: row-wise Gustavson SpGEMM (SPA vs hash vs
-//! auto), the symbolic pass, CSR×dense SpMM, and the semiring merge — the
-//! building blocks whose relative costs drive the algorithm-level
-//! crossovers (Figs. 7, 8).
+//! auto), the symbolic pass and CSR×dense SpMM — the building blocks whose
+//! relative costs drive the algorithm-level crossovers (Figs. 7, 8).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tsgemm_sparse::gen::{erdos_renyi, random_tall};
-use tsgemm_sparse::merge::merge;
 use tsgemm_sparse::spgemm::{spgemm, spgemm_symbolic, AccumChoice};
 use tsgemm_sparse::spmm::spmm;
 use tsgemm_sparse::{Csr, DenseMat, PlusTimesF64};
@@ -54,23 +52,5 @@ fn bench_spmm_vs_spgemm(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_merge(c: &mut Criterion) {
-    let mut group = c.benchmark_group("merge");
-    group.sample_size(15);
-    let n = 4096;
-    let d = 128;
-    let parts: Vec<Csr<f64>> = (0..8)
-        .map(|k| random_tall(n, d, 0.9, 100 + k).to_csr::<PlusTimesF64>())
-        .collect();
-    let refs: Vec<&Csr<f64>> = parts.iter().collect();
-    group.bench_function("spa_8way", |bench| {
-        bench.iter(|| black_box(merge::<PlusTimesF64>(&refs, AccumChoice::Spa)));
-    });
-    group.bench_function("hash_8way", |bench| {
-        bench.iter(|| black_box(merge::<PlusTimesF64>(&refs, AccumChoice::Hash)));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_spgemm, bench_spmm_vs_spgemm, bench_merge);
+criterion_group!(benches, bench_spgemm, bench_spmm_vs_spgemm);
 criterion_main!(benches);

@@ -151,23 +151,10 @@ pub fn ts_spgemm<S: Semiring>(
     try_ts_spgemm::<S>(comm, a, ac, b, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`ts_spgemm`]: tile-step collectives that fail with a transient
+/// Fallible [`ts_spgemm`]: builds a [`TsPlan`] and multiplies through it
+/// once, with no mask. Tile-step collectives that fail with a transient
 /// injected error are retried up to [`MAX_COLLECTIVE_ATTEMPTS`] times
 /// (`stats.retries` counts them); non-transient errors are returned.
-///
-/// `C_i` is assembled directly in CSR, row band by row band. Each output
-/// row is ⊕-merged (Alg. 2's MERGE) through one accumulator in a fixed
-/// order: the owner's own contributions in `A`-column order, then the
-/// remote partials in source-rank order, then the column bands in `cb`
-/// order.
-///
-/// With several column bands a step visits only the band's rows that hold
-/// `A` entries in its column band (the only rows a remote partial can
-/// reach), and drains each into one band buffer tagged with its row. At the
-/// band's end a stable counting pass groups those segments by row in `cb`
-/// order: a row with one segment is copied as drained, a row with more is
-/// ⊕-merged through the accumulator, so every output bit is what merging
-/// one drained row per column band would give.
 pub fn try_ts_spgemm<S: Semiring>(
     comm: &mut Comm,
     a: &DistCsr<S::T>,
@@ -176,28 +163,114 @@ pub fn try_ts_spgemm<S: Semiring>(
     cfg: &TsConfig,
 ) -> Result<(Csr<S::T>, TsLocalStats), CommError> {
     // Whole-invocation span under the config tag (the same phase the stats
-    // registry uses). A drop guard, so it also closes when a collective
-    // fails and the `?` below returns early — the timeline never leaks an
-    // open span on the error path.
-    let run_span = comm.span(|| cfg.tag.clone());
+    // registry uses), around the plan's `:buckets` span too. A drop guard,
+    // so it also closes when a collective fails and the multiply returns
+    // early — the timeline never leaks an open span on the error path.
+    let _run_span = comm.span(|| cfg.tag.clone());
+    run::<S>(&TsPlan::new(comm, a, ac, cfg), comm, b, None, &cfg.tag)
+}
+
+/// What TS-SpGEMM derives from `A`, `A^c` and the config alone: the tile
+/// grid and the `A^c` entries bucketed per sub-tile, with the mode policy
+/// and accumulator choice. Built once, it serves every multiply of the same
+/// `A` — Alg. 3 multiplies it by a new frontier each iteration.
+pub struct TsPlan<'a, T> {
+    a: &'a DistCsr<T>,
+    ac: &'a ColBlocks<T>,
+    tiling: Tiling,
+    buckets: TileBuckets<T>,
+    policy: ModePolicy,
+    accum: AccumChoice,
+}
+
+impl<'a, T: Copy + Send + Sync + 'static> TsPlan<'a, T> {
+    /// Buckets `ac` for `cfg`'s tile sizes, recorded as span
+    /// `{cfg.tag}:buckets`. No communication.
+    ///
+    /// # Panics
+    /// Panics if `A` is not square over its distribution or `ac` follows a
+    /// different one.
+    pub fn new(comm: &Comm, a: &'a DistCsr<T>, ac: &'a ColBlocks<T>, cfg: &TsConfig) -> Self {
+        let dist = a.dist;
+        assert_eq!(ac.dist, dist, "A^c columns must follow A's distribution");
+        assert_eq!(
+            a.ncols(),
+            dist.n(),
+            "A must be square over the distribution"
+        );
+        let tiling = Tiling::sized(dist, cfg.tile_height, cfg.tile_width);
+        let buckets_span = comm.span(|| format!("{}:buckets", cfg.tag));
+        let buckets = TileBuckets::build(ac, &tiling);
+        buckets_span.end();
+        Self {
+            a,
+            ac,
+            tiling,
+            buckets,
+            policy: cfg.policy,
+            accum: cfg.accum,
+        }
+    }
+
+    /// [`ts_spgemm`] through the plan, tagged `tag`, with every entry whose
+    /// coordinate is stored in `mask` dropped: `C = (A ⊗ B) \ M`, where
+    /// `mask` holds this rank's rows of an `n × d` matrix, like `C`.
+    ///
+    /// The mask acts only where a row becomes final, on the tile owner,
+    /// after all communication: remote partials ship unmasked, so bytes,
+    /// collectives, flops and modeled time are those of the unmasked
+    /// multiply, and the output is exactly `andnot(A ⊗ B, M)`.
+    pub fn multiply<S: Semiring<T = T>>(
+        &self,
+        comm: &mut Comm,
+        b: &DistCsr<T>,
+        mask: Option<&Csr<T>>,
+        tag: &str,
+    ) -> (Csr<T>, TsLocalStats) {
+        let _run_span = comm.span(|| tag.to_string());
+        run::<S>(self, comm, b, mask, tag).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// One multiply through `plan` (Alg. 2).
+///
+/// `C_i` is assembled directly in CSR, row band by row band. Each output
+/// row is ⊕-merged (Alg. 2's MERGE) through one accumulator in a fixed
+/// order: the owner's own contributions in `A`-column order, then the
+/// remote partials in source-rank order, then the column bands in `cb`
+/// order. The mask's columns are dropped from a row's accumulator just
+/// before the row is final.
+///
+/// With several column bands a step visits only the band's rows that
+/// hold `A` entries in its column band (the only rows a remote partial
+/// can reach), and drains each into one band buffer tagged with its row.
+/// At the band's end a stable counting pass groups those segments by row
+/// in `cb` order: an unmasked row with one segment is copied as drained,
+/// any other ⊕-merged through the accumulator, so every output bit is
+/// what merging one drained row per column band would give.
+fn run<S: Semiring>(
+    plan: &TsPlan<'_, S::T>,
+    comm: &mut Comm,
+    b: &DistCsr<S::T>,
+    mask: Option<&Csr<S::T>>,
+    tag: &str,
+) -> Result<(Csr<S::T>, TsLocalStats), CommError> {
+    let (a, ac, tiling, buckets) = (plan.a, plan.ac, &plan.tiling, &plan.buckets);
     let me = comm.rank();
     let p = comm.size();
     let dist = a.dist;
     assert_eq!(b.dist, dist, "B rows must follow A's distribution");
-    assert_eq!(ac.dist, dist, "A^c columns must follow A's distribution");
-    assert_eq!(
-        a.ncols(),
-        dist.n(),
-        "A must be square over the distribution"
-    );
     let d = b.ncols();
+    if let Some(m) = mask {
+        assert_eq!(
+            (m.nrows(), m.ncols()),
+            (a.local.nrows(), d),
+            "the mask must have C's shape"
+        );
+    }
     let (my_lo, _) = dist.range(me);
 
-    let tiling = Tiling::sized(dist, cfg.tile_height, cfg.tile_width);
-    let buckets_span = comm.span(|| format!("{}:buckets", cfg.tag));
-    let buckets = TileBuckets::build(ac, &tiling);
-    buckets_span.end();
-    let modes = decide_modes::<S>(comm, &tiling, &buckets, b, cfg.policy, &cfg.tag);
+    let modes = decide_modes::<S>(comm, tiling, buckets, b, plan.policy, tag);
 
     let mut stats = TsLocalStats {
         local_subtiles: modes.n_local,
@@ -207,7 +280,7 @@ pub fn try_ts_spgemm<S: Semiring>(
         ..TsLocalStats::default()
     };
 
-    let use_spa = matches!(cfg.accum.resolve(d), AccumChoice::Spa);
+    let use_spa = matches!(plan.accum.resolve(d), AccumChoice::Spa);
     let mut acc = RowAccum::<S>::new(use_spa, d);
     let multi_band = tiling.n_col_bands > 1;
     // The output, one row band at a time. With a single column band a
@@ -233,16 +306,19 @@ pub fn try_ts_spgemm<S: Semiring>(
         let (band_lo, band_hi) = tiling.band_range(me, rb);
         let lo_l = (band_lo - my_lo) as usize;
         let hi_l = (band_hi - my_lo) as usize;
+        // A row is final in its step with one column band, and in the band
+        // merge with several: the mask acts there.
+        let band_mask = BandMask { mask, first: lo_l };
         for cb in 0..tiling.n_col_bands {
             comm.flight_record(
-                &cfg.tag,
+                tag,
                 FlightEventKind::StepStart {
                     rb: rb as u32,
                     cb: cb as u32,
                 },
             );
             // ---- server role: pack B rows / compute partial C ------------
-            let pack_span = comm.span(|| format!("{}:pack", cfg.tag));
+            let pack_span = comm.span(|| format!("{tag}:pack"));
             let mut bsend: Vec<Vec<Trip<S::T>>> = (0..p).map(|_| Vec::new()).collect();
             let mut csend: Vec<Vec<Trip<S::T>>> = (0..p).map(|_| Vec::new()).collect();
             let (bcol_lo, _) = ac.col_range();
@@ -264,7 +340,7 @@ pub fn try_ts_spgemm<S: Semiring>(
                             b.local.nrows(),
                         );
                         flops += spgemm_flops(&tile, &b.local);
-                        let part = spgemm::<S>(&tile, &b.local, cfg.accum);
+                        let part = spgemm::<S>(&tile, &b.local, plan.accum);
                         let rows = 0..part.nrows() as Idx;
                         pack_rows(rows, &part, band_lo, &mut csend[i]);
                     }
@@ -274,14 +350,8 @@ pub fn try_ts_spgemm<S: Semiring>(
             pack_span.end();
 
             // ---- consolidated communication ------------------------------
-            let brecv = alltoallv_retry(
-                comm,
-                bsend,
-                format!("{}:bfetch", cfg.tag),
-                &mut stats.retries,
-            )?;
-            let crecv =
-                alltoallv_retry(comm, csend, format!("{}:cret", cfg.tag), &mut stats.retries)?;
+            let brecv = alltoallv_retry(comm, bsend, format!("{tag}:bfetch"), &mut stats.retries)?;
+            let crecv = alltoallv_retry(comm, csend, format!("{tag}:cret"), &mut stats.retries)?;
 
             let transient: u64 = brecv
                 .iter()
@@ -293,9 +363,9 @@ pub fn try_ts_spgemm<S: Semiring>(
             comm.note_working_set(transient);
 
             // ---- tile-owner role: multiply and merge partials per row ----
-            let kernel_span = comm.span(|| format!("{}:kernel", cfg.tag));
+            let kernel_span = comm.span(|| format!("{tag}:kernel"));
             if cb == 0 {
-                active.fill(&a.local, lo_l..hi_l, &tiling);
+                active.fill(&a.local, lo_l..hi_l, tiling);
             }
             let (cb_lo, cb_hi) = tiling.col_band_range(cb);
             brows.fill(&brecv, cb_lo, (cb_hi - cb_lo) as usize, S::zero());
@@ -314,6 +384,11 @@ pub fn try_ts_spgemm<S: Semiring>(
                 own: modes.own(rb, cb),
                 brows: &brows,
                 cparts: &cparts,
+                mask: if multi_band {
+                    BandMask::NONE
+                } else {
+                    band_mask
+                },
                 d,
             };
             let segs = active.step(cb);
@@ -347,7 +422,7 @@ pub fn try_ts_spgemm<S: Semiring>(
                         (rows, f)
                     }
                 });
-                let parts = kernel_lanes(comm, &pool, &cfg.tag, jobs);
+                let parts = kernel_lanes(comm, &pool, tag, jobs);
                 let entries = parts.iter().map(|(rows, _)| rows.indices.len()).sum();
                 step_out.reserve(segs.len(), entries);
                 for (rows, f) in parts {
@@ -357,7 +432,7 @@ pub fn try_ts_spgemm<S: Semiring>(
             }
             kernel_span.end();
             comm.flight_record(
-                &cfg.tag,
+                tag,
                 FlightEventKind::StepEnd {
                     rb: rb as u32,
                     cb: cb as u32,
@@ -367,8 +442,8 @@ pub fn try_ts_spgemm<S: Semiring>(
 
         // ---- MERGE: ⊕ the band's column-band segments row by row --------
         if multi_band {
-            let merge_span = comm.span(|| format!("{}:merge", cfg.tag));
-            acc.merge_band(&mut band, hi_l - lo_l, &mut c_out);
+            let merge_span = comm.span(|| format!("{tag}:merge"));
+            acc.merge_band(&mut band, hi_l - lo_l, band_mask, &mut c_out);
             merge_span.end();
         }
     }
@@ -376,20 +451,19 @@ pub fn try_ts_spgemm<S: Semiring>(
     comm.add_flops(flops);
     stats.flops = flops;
     if trace {
-        comm.metrics(|m| m.merge(&stats.registry(&cfg.tag)));
+        comm.metrics(|m| m.merge(&stats.registry(tag)));
         if alloc::counting_active() {
             // Process-wide accounted bytes (the counting allocator is
             // global): the peak is the whole job's high-water mark since the
             // last reset, recorded as gauges so rank merges take the max.
             comm.metrics(|m| {
-                m.gauge_max(&cfg.tag, "mem_live_bytes", alloc::live_bytes() as f64);
-                m.gauge_max(&cfg.tag, "mem_peak_bytes", alloc::peak_bytes() as f64);
+                m.gauge_max(tag, "mem_live_bytes", alloc::live_bytes() as f64);
+                m.gauge_max(tag, "mem_peak_bytes", alloc::peak_bytes() as f64);
             });
         }
     }
 
     let c = c_out.into_csr(d);
-    run_span.end();
     Ok((c, stats))
 }
 
@@ -478,20 +552,49 @@ impl<S: Semiring> RowAccum<S> {
         &mut self,
         band: &mut BandSegments<S::T>,
         nrows: usize,
+        mask: BandMask<'_, S::T>,
         out: &mut RowBlock<S::T>,
     ) {
         match self {
-            Self::Spa(a) => band.merge_into(nrows, a, out),
-            Self::Hash(a) => band.merge_into(nrows, a, out),
+            Self::Spa(a) => band.merge_into(nrows, a, mask, out),
+            Self::Hash(a) => band.merge_into(nrows, a, mask, out),
         }
     }
 }
 
-/// Drains the accumulated row (sorted, semiring zeros dropped) as the next
-/// row of `out`.
-fn drain_row<S: Semiring, A: Accumulator<S>>(acc: &mut A, out: &mut RowBlock<S::T>) {
+/// Drains the accumulated row (sorted, semiring zeros and the `skip`
+/// columns dropped) as the next row of `out`. Each skipped column costs the
+/// accumulator one O(1) removal.
+fn drain_row<S: Semiring, A: Accumulator<S>>(acc: &mut A, skip: &[Idx], out: &mut RowBlock<S::T>) {
+    for &c in skip {
+        acc.remove(c);
+    }
     acc.drain_sorted(&mut out.indices, &mut out.values);
     out.indptr.push(out.indices.len());
+}
+
+/// The structural complement mask over one row band: band row `r` is local
+/// row `first + r` of `mask`, and its stored columns are dropped from the
+/// output row.
+#[derive(Clone, Copy)]
+struct BandMask<'a, T> {
+    mask: Option<&'a Csr<T>>,
+    first: usize,
+}
+
+impl<'a, T: Copy> BandMask<'a, T> {
+    const NONE: Self = Self {
+        mask: None,
+        first: 0,
+    };
+
+    /// The columns masked out of band row `r` (none without a mask).
+    fn row(&self, r: usize) -> &'a [Idx] {
+        match self.mask {
+            Some(m) => m.row(self.first + r).0,
+            None => &[],
+        }
+    }
 }
 
 /// The entries `lo..hi` of band row `row` that fall in one column band.
@@ -602,16 +705,18 @@ impl<T: Copy> BandSegments<T> {
         }
     }
 
-    /// Appends the band's `nrows` rows to `out` and empties the buffer. A
-    /// stable counting pass groups the segments by row, keeping `cb` order.
-    /// A row without segments is empty, one segment is copied as drained
-    /// (a drained row is sorted and holds no zeros, so accumulating and
-    /// draining it again would give the same bits), and several are
-    /// ⊕-merged through `acc` in `cb` order.
+    /// Appends the band's `nrows` rows, less the `mask` columns, to `out`
+    /// and empties the buffer. A stable counting pass groups the segments by
+    /// row, keeping `cb` order. A row without segments is empty, one
+    /// segment with no masked columns is copied as drained (a drained row
+    /// is sorted and holds no zeros, so accumulating and draining it again
+    /// would give the same bits), and any other row is ⊕-merged through
+    /// `acc` in `cb` order.
     fn merge_into<S: Semiring<T = T>, A: Accumulator<S>>(
         &mut self,
         nrows: usize,
         acc: &mut A,
+        mask: BandMask<'_, T>,
         out: &mut RowBlock<T>,
     ) {
         self.start.clear();
@@ -632,22 +737,22 @@ impl<T: Copy> BandSegments<T> {
         let mut lo = 0;
         for r in 0..nrows {
             let hi = self.start[r];
-            match &self.order[lo..hi] {
-                [] => out.indptr.push(out.indices.len()),
-                &[k] => {
+            match (&self.order[lo..hi], mask.row(r)) {
+                ([], _) => out.indptr.push(out.indices.len()),
+                (&[k], []) => {
                     let (cols, vals) = self.rows.row(k as usize);
                     out.indices.extend_from_slice(cols);
                     out.values.extend_from_slice(vals);
                     out.indptr.push(out.indices.len());
                 }
-                segs => {
+                (segs, skip) => {
                     for &k in segs {
                         let (cols, vals) = self.rows.row(k as usize);
                         for (&c, &v) in cols.iter().zip(vals) {
                             acc.accumulate(c, v);
                         }
                     }
-                    drain_row(acc, out);
+                    drain_row(acc, skip, out);
                 }
             }
             lo = hi;
@@ -674,6 +779,8 @@ struct OwnerCtx<'a, S: Semiring> {
     brows: &'a RowIndex<(Idx, S::T)>,
     /// Received partial C rows over the row band.
     cparts: &'a RowIndex<(Idx, S::T)>,
+    /// Columns dropped from each final row; empty while rows are segments.
+    mask: BandMask<'a, S::T>,
     /// Output columns.
     d: usize,
 }
@@ -728,16 +835,18 @@ impl<'a, S: Semiring> OwnerCtx<'a, S> {
     }
 
     /// At most this many entries drain from `seg`'s row: one per product
-    /// and per received partial, and never more than the `d` columns.
+    /// and per received partial, and never more than the `d` columns the
+    /// mask leaves.
     fn row_bound(&self, seg: &Segment) -> usize {
         let products: usize = self.b_rows(seg).map(|(_, brow)| brow.len()).sum();
-        (products + self.cparts.row(seg.row as usize).len()).min(self.d)
+        let row = seg.row as usize;
+        (products + self.cparts.row(row).len()).min(self.d - self.mask.row(row).len())
     }
 }
 
 /// The tile-owner multiply for a run of a step's row segments: Gustavson
 /// over each row's entries in the tile's column slice plus the row's remote
-/// partials, each row drained once into `out`. A row's output depends only
+/// partials, each row drained once into `out`, less its masked columns. A row's output depends only
 /// on that row's accumulate/drain sequence, so any partition of the step's
 /// segments into runs, appended in order, reproduces the full pass exactly.
 ///
@@ -752,6 +861,7 @@ fn owner_rows<S: Semiring, A: Accumulator<S>>(
     out.reserve(segs.len(), segs.iter().map(|seg| ctx.row_bound(seg)).sum());
     let mut flops = 0u64;
     for seg in segs {
+        let row_start = flops;
         for (va, brow) in ctx.b_rows(seg) {
             flops += brow.len() as u64;
             match brow {
@@ -767,11 +877,19 @@ fn owner_rows<S: Semiring, A: Accumulator<S>>(
                 }
             }
         }
-        for &(col, val) in ctx.cparts.row(seg.row as usize) {
+        let parts = ctx.cparts.row(seg.row as usize);
+        for &(col, val) in parts {
             acc.accumulate(col, val);
         }
+        // A row nothing reached drains empty, whatever its mask says.
+        let reached = flops > row_start || !parts.is_empty();
+        let skip = if reached {
+            ctx.mask.row(seg.row as usize)
+        } else {
+            &[]
+        };
         let start = out.indices.len();
-        drain_row(acc, out);
+        drain_row(acc, skip, out);
         debug_assert!(
             out.indices.len() - start <= ctx.row_bound(seg),
             "row {} drained past its reserved bound",
@@ -1269,6 +1387,7 @@ mod tests {
                 own: &own,
                 brows: &brows,
                 cparts: &cparts,
+                mask: BandMask::NONE,
                 d,
             };
             let segs = active.step(cb);

@@ -11,7 +11,8 @@
 //!   buckets (§III-B);
 //! * [`mode`] — the symbolic local/remote selection step (§III-D);
 //! * [`exec`] — the tile-by-tile driver with consolidated AllToAll
-//!   communication (Alg. 2);
+//!   communication (Alg. 2), and [`TsPlan`], its `A`-only part kept for
+//!   repeated multiplies by the same `A`;
 //! * [`naive`] — Alg. 1, the request-based 1-D Gustavson baseline as
 //!   implemented by PETSc/Trilinos;
 //! * [`spmm`] — the distributed SpMM contender with the same communication
@@ -34,7 +35,7 @@ pub mod tiling;
 
 pub use colpart::ColBlocks;
 pub use dist::DistCsr;
-pub use exec::{try_ts_spgemm, ts_spgemm, TsConfig, TsLocalStats};
+pub use exec::{try_ts_spgemm, ts_spgemm, TsConfig, TsLocalStats, TsPlan};
 pub use mode::{ModePolicy, TileMode};
 pub use part::BlockDist;
 pub use tiling::{TileConfig, Tiling};
@@ -66,7 +67,7 @@ use tsgemm_sparse::Csr;
 /// tagged `setup:colpart`) and multiplies. Returns this rank's `C` block and
 /// local statistics. For repeated multiplies against the same `A` (BFS,
 /// embedding epochs), build [`ColBlocks`] once and call [`ts_spgemm`]
-/// directly.
+/// directly, or multiply through one [`TsPlan`].
 pub fn multiply<S: Semiring>(
     comm: &mut Comm,
     a: &DistCsr<S::T>,

@@ -32,6 +32,10 @@ pub trait Accumulator<S: Semiring> {
     /// Number of distinct positions touched since the last drain/reset.
     fn touched(&self) -> usize;
 
+    /// Discards what was accumulated at position `idx`, in O(1), so the
+    /// next drain does not emit it (a structural complement mask).
+    fn remove(&mut self, idx: Idx);
+
     /// Appends the accumulated `(index, value)` pairs in increasing index
     /// order to the output vectors, dropping semiring zeros, and resets the
     /// accumulator for the next row.
@@ -74,6 +78,13 @@ impl<S: Semiring> Accumulator<S> for Spa<S> {
 
     fn touched(&self) -> usize {
         self.touched.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    #[inline]
+    fn remove(&mut self, idx: Idx) {
+        let i = idx as usize;
+        self.touched[i / 64] &= !(1 << (i % 64));
+        self.vals[i] = S::zero();
     }
 
     fn drain_sorted(&mut self, idx_out: &mut Vec<Idx>, val_out: &mut Vec<S::T>) {
@@ -183,6 +194,19 @@ impl<S: Semiring> Accumulator<S> for HashAccum<S> {
 
     fn touched(&self) -> usize {
         self.len
+    }
+
+    /// One probe: a found key keeps its slot and holds the semiring zero,
+    /// which the drain drops.
+    fn remove(&mut self, idx: Idx) {
+        let mut i = self.slot(idx);
+        while self.keys[i] != EMPTY_KEY {
+            if self.keys[i] == idx {
+                self.vals[i] = S::zero();
+                return;
+            }
+            i = (i + 1) & self.mask;
+        }
     }
 
     fn drain_sorted(&mut self, idx_out: &mut Vec<Idx>, val_out: &mut Vec<S::T>) {
@@ -377,6 +401,26 @@ mod tests {
         for (a, b) in sv.iter().zip(&hv) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn remove_drops_a_column_and_nothing_else() {
+        fn check<A: Accumulator<PlusTimesF64>>(mut acc: A) {
+            for (i, v) in [(9, 1.0), (2, 2.0), (40, 3.0), (9, 4.0)] {
+                acc.accumulate(i, v);
+            }
+            // A touched column, an untouched one and one removed twice.
+            acc.remove(9);
+            acc.remove(5);
+            acc.remove(40);
+            acc.remove(40);
+            assert_eq!(drain(&mut acc), (vec![2], vec![2.0]));
+            // The next row starts clean, the removed columns included.
+            acc.accumulate(40, 1.5);
+            assert_eq!(drain(&mut acc), (vec![40], vec![1.5]));
+        }
+        check(Spa::new(64));
+        check(HashAccum::with_capacity(2));
     }
 
     #[test]

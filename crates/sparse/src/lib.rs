@@ -8,8 +8,8 @@
 //! * accumulators: dense [`accum::Spa`] and open-addressing [`accum::HashAccum`]
 //!   (§III-C of the paper);
 //! * local kernels: row-wise Gustavson SpGEMM ([`spgemm`]), CSR×dense SpMM
-//!   ([`spmm`]), semiring merge of partial results ([`merge`]), element-wise
-//!   set ops ([`ewise`]) and top-k sparsification ([`sparsify`]);
+//!   ([`spmm`]), element-wise set ops ([`ewise`]) and top-k sparsification
+//!   ([`sparsify`]);
 //! * workload generators matching Table V ([`gen`]), MatrixMarket I/O
 //!   ([`io`]), and bandwidth-reducing reordering ([`perm`], RCM) — the
 //!   preprocessing that restores the crawl-order locality the 1-D
@@ -27,7 +27,6 @@ pub mod dense;
 pub mod ewise;
 pub mod gen;
 pub mod io;
-pub mod merge;
 pub mod perm;
 pub mod semiring;
 pub mod sparsify;

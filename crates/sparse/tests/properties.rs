@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use tsgemm_sparse::accum::{Accumulator, HashAccum, Spa};
 use tsgemm_sparse::ewise::{andnot, intersect, union};
-use tsgemm_sparse::merge::merge;
 use tsgemm_sparse::perm::{permute_symmetric, random_permutation, rcm_order};
 use tsgemm_sparse::semiring::{MinPlusF64, Sel2ndMinF64, Semiring};
 use tsgemm_sparse::sparsify::{sparsity, topk_per_row};
@@ -199,23 +198,6 @@ proptest! {
                 prop_assert!((c1.get(r, j) - c2.get(r, j as Idx).unwrap_or(0.0)).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn merge_equals_coo_concatenation(
-        a in coo_strategy(15, 10, 40),
-        b_entries in proptest::collection::vec((0..15 as Idx, 0..10 as Idx, -4.0f64..4.0), 0..=40),
-    ) {
-        let b = Coo::from_entries(15, 10, b_entries);
-        let a15 = Coo::from_entries(15, 10,
-            a.entries().iter().filter(|&&(r, c, _)| (r as usize) < 15 && (c as usize) < 10).copied().collect());
-        let ma = a15.to_csr::<PlusTimesF64>();
-        let mb = b.to_csr::<PlusTimesF64>();
-        let merged = merge::<PlusTimesF64>(&[&ma, &mb], AccumChoice::Auto);
-        let mut both = a15.entries().to_vec();
-        both.extend_from_slice(b.entries());
-        let expected = Coo::from_entries(15, 10, both).to_csr::<PlusTimesF64>();
-        prop_assert!(merged.approx_eq(&expected, 1e-12));
     }
 
     #[test]

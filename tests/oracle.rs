@@ -7,13 +7,19 @@
 //! which the dense `mul` of selection semirings like `(sel2nd, min)` would
 //! not honour), merges with `⊕`, and drops `⊕`-zero results exactly like
 //! the kernels' sorted drains do.
+//!
+//! Two more oracles are the plain multiply itself: a complement-masked
+//! multiply through a [`TsPlan`] must equal `andnot(A ⊗ B, M)` bit for bit
+//! at the same cost, and one plan reused for several multiplies must equal
+//! as many fresh `ts_spgemm` calls.
 
 use proptest::prelude::*;
-use tsgemm::core::{ts_spgemm, BlockDist, ColBlocks, DistCsr, TsConfig};
-use tsgemm::net::World;
+use tsgemm::core::{ts_spgemm, BlockDist, ColBlocks, DistCsr, TsConfig, TsLocalStats, TsPlan};
+use tsgemm::net::{CollKind, CostModel, RankProfile, World};
+use tsgemm::sparse::ewise::andnot;
 use tsgemm::sparse::gen::{erdos_renyi, random_tall};
 use tsgemm::sparse::spgemm::AccumChoice;
-use tsgemm::sparse::{BoolAndOr, Coo, Csr, PlusTimesF64, Sel2ndMinF64, Semiring};
+use tsgemm::sparse::{BoolAndOr, Coo, Csr, Idx, PlusTimesF64, Sel2ndMinF64, Semiring};
 
 /// Dense reference product over stored entries: `C[i][j] = ⊕_k A[i][k] ⊗
 /// B[k][j]`, present only where at least one stored pair contributes.
@@ -138,4 +144,202 @@ proptest! {
             oracle_check::<BoolAndOr>(&ab, &bb, p, accum, |x, y| x == y, "(and,or)");
         }
     }
+}
+
+/// What a rank's collective moved, without its host timings.
+type CollFacts = (CollKind, String, Vec<(usize, u64)>, u64, u32, u64);
+
+/// Every rank's collectives in order, as [`CollFacts`].
+fn coll_facts(profiles: &[RankProfile]) -> Vec<Vec<CollFacts>> {
+    profiles
+        .iter()
+        .map(|pr| {
+            pr.segments
+                .iter()
+                .filter_map(|s| s.coll.as_ref())
+                .map(|c| {
+                    let to = c.bytes_to.clone();
+                    (
+                        c.kind,
+                        c.tag.clone(),
+                        to,
+                        c.bytes_received,
+                        c.recv_msgs,
+                        c.uniform_bytes,
+                    )
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A CSR block's structure and value bits.
+fn csr_bits<T: Copy>(c: &Csr<T>, bits: impl Fn(T) -> u64) -> (Vec<usize>, Vec<Idx>, Vec<u64>) {
+    let vals = c.values().iter().map(|&v| bits(v)).collect();
+    (c.indptr().to_vec(), c.indices().to_vec(), vals)
+}
+
+/// One multiply on `p` ranks with `threads` pool workers: each rank's `C`
+/// block (less `mask` when given) and stats, the collectives and the
+/// modeled seconds of the run.
+type MaskedRun<T> = (Vec<(Csr<T>, TsLocalStats)>, Vec<Vec<CollFacts>>, f64);
+
+fn masked_run<S: Semiring>(
+    acoo: &Coo<S::T>,
+    bcoo: &Coo<S::T>,
+    mask: Option<&Coo<S::T>>,
+    p: usize,
+    threads: usize,
+    cfg: &TsConfig,
+) -> MaskedRun<S::T> {
+    let (n, d) = (acoo.nrows(), bcoo.ncols());
+    let out = World::run_with_threads(p, threads, |comm| {
+        let dist = BlockDist::new(n, p);
+        let a = DistCsr::from_global_coo::<S>(acoo, dist, comm.rank(), n);
+        let ac = ColBlocks::build::<S>(comm, &a);
+        let b = DistCsr::from_global_coo::<S>(bcoo, dist, comm.rank(), d);
+        match mask {
+            None => ts_spgemm::<S>(comm, &a, &ac, &b, cfg),
+            Some(m) => {
+                let m = DistCsr::from_global_coo::<S>(m, dist, comm.rank(), d).local;
+                TsPlan::new(comm, &a, &ac, cfg).multiply::<S>(comm, &b, Some(&m), &cfg.tag)
+            }
+        }
+    });
+    let modeled = CostModel::default().model_run(&out.profiles).total();
+    (out.results, coll_facts(&out.profiles), modeled)
+}
+
+/// Asserts the masked multiply equals `andnot` of the unmasked one on every
+/// rank, bit for bit, with the same stats, collectives and modeled time.
+fn check_masked<S: Semiring>(
+    acoo: &Coo<S::T>,
+    bcoo: &Coo<S::T>,
+    masks: &[Coo<S::T>],
+    bits: impl Fn(S::T) -> u64 + Copy,
+    label: &str,
+) {
+    let n = acoo.nrows();
+    for p in [1, 2, 4, 7] {
+        for narrow in [false, true] {
+            for accum in [AccumChoice::Spa, AccumChoice::Hash] {
+                let mut cfg = TsConfig {
+                    accum,
+                    ..TsConfig::default()
+                };
+                if narrow {
+                    cfg = cfg.with_width_factor(1, BlockDist::new(n, p));
+                }
+                for threads in [1, 4] {
+                    let at = format!("{label} p={p} narrow={narrow} {accum:?} threads={threads}");
+                    let (plain, colls, modeled) =
+                        masked_run::<S>(acoo, bcoo, None, p, threads, &cfg);
+                    for (k, mcoo) in masks.iter().enumerate() {
+                        let got = masked_run::<S>(acoo, bcoo, Some(mcoo), p, threads, &cfg);
+                        let dist = BlockDist::new(n, p);
+                        for (r, ((c, stats), (mc, mstats))) in plain.iter().zip(&got.0).enumerate()
+                        {
+                            let m = DistCsr::from_global_coo::<S>(mcoo, dist, r, mcoo.ncols());
+                            assert_eq!(
+                                csr_bits(mc, bits),
+                                csr_bits(&andnot(c, &m.local), bits),
+                                "{at} mask {k} rank {r}: output"
+                            );
+                            assert_eq!(mstats, stats, "{at} mask {k} rank {r}: stats");
+                        }
+                        assert_eq!(got.1, colls, "{at} mask {k}: collectives");
+                        assert_eq!(got.2, modeled, "{at} mask {k}: modeled seconds");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The masks every configuration runs: none stored, and a random one
+/// that also covers every fifth row whole.
+fn masks(n: usize, d: usize, seed: u64) -> Vec<Coo<f64>> {
+    let mut dense_rows = random_tall(n, d, 0.7, seed);
+    for r in (0..n as Idx).step_by(5) {
+        for c in 0..d as Idx {
+            dense_rows.push(r, c, 1.0);
+        }
+    }
+    let dense_rows = dense_rows.to_csr::<PlusTimesF64>().to_coo();
+    vec![Coo::new(n, d), dense_rows]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn masked_multiply_is_andnot_of_the_product(
+        n in 24usize..=64,
+        d in 2usize..10,
+        seed in 0u64..10_000,
+    ) {
+        let _g = tsgemm_pool_lock();
+        let configured = tsgemm::pool::configured_threads();
+        let acoo = erdos_renyi(n, 4.0, seed);
+        let bcoo = random_tall(n, d, 0.5, seed ^ 0x9E37);
+        let ms = masks(n, d, seed ^ 0x51);
+        check_masked::<PlusTimesF64>(&acoo, &bcoo, &ms, f64::to_bits, "(+,x)");
+        check_masked::<Sel2ndMinF64>(&acoo, &bcoo, &ms, f64::to_bits, "(sel2nd,min)");
+        let bool_masks: Vec<_> = ms.iter().map(|m| m.map_values(|_| true)).collect();
+        let (ab, bb) = (acoo.map_values(|_| true), bcoo.map_values(|_| true));
+        check_masked::<BoolAndOr>(&ab, &bb, &bool_masks, |v| v as u64, "(and,or)");
+        tsgemm::pool::set_threads(configured);
+    }
+}
+
+/// The pool size is process-wide: the runs that pin it hold this lock.
+fn tsgemm_pool_lock() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[test]
+fn one_plan_serves_many_multiplies() {
+    let (n, p) = (60, 4);
+    let acoo = erdos_renyi(n, 5.0, 0x71);
+    let bs: Vec<Coo<f64>> = (0..3)
+        .map(|k| random_tall(n, 4 + 3 * k, 0.3 * k as f64, 0x72 + k as u64))
+        .collect();
+    let cfgs: Vec<TsConfig> = (0..3)
+        .map(|k| TsConfig {
+            tag: format!("mul{k}"),
+            tile_width: Some(10),
+            ..TsConfig::default()
+        })
+        .collect();
+    let run = |reuse: bool| {
+        World::run(p, |comm| {
+            let dist = BlockDist::new(n, p);
+            let a = DistCsr::from_global_coo::<PlusTimesF64>(&acoo, dist, comm.rank(), n);
+            let ac = ColBlocks::build::<PlusTimesF64>(comm, &a);
+            let plan = reuse.then(|| TsPlan::new(comm, &a, &ac, &cfgs[0]));
+            bs.iter()
+                .zip(&cfgs)
+                .map(|(bcoo, cfg)| {
+                    let d = bcoo.ncols();
+                    let b = DistCsr::from_global_coo::<PlusTimesF64>(bcoo, dist, comm.rank(), d);
+                    let (c, stats) = match &plan {
+                        Some(plan) => plan.multiply::<PlusTimesF64>(comm, &b, None, &cfg.tag),
+                        None => ts_spgemm::<PlusTimesF64>(comm, &a, &ac, &b, cfg),
+                    };
+                    (csr_bits(&c, f64::to_bits), stats)
+                })
+                .collect::<Vec<_>>()
+        })
+    };
+    let (fresh, reused) = (run(false), run(true));
+    assert_eq!(reused.results, fresh.results, "outputs and stats");
+    let (fc, rc) = (coll_facts(&fresh.profiles), coll_facts(&reused.profiles));
+    for cfg in &cfgs {
+        let prefix = format!("{}:", cfg.tag);
+        let tagged = |rank: &Vec<CollFacts>| rank.iter().any(|c| c.1.starts_with(&prefix));
+        assert!(fc.iter().all(tagged), "{}: no records", cfg.tag);
+    }
+    // Equal in order on every rank, so equal per tag.
+    assert_eq!(rc, fc, "collective records");
 }
