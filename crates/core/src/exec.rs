@@ -241,13 +241,13 @@ impl<'a, T: Copy + Send + Sync + 'static> TsPlan<'a, T> {
 /// order. The mask's columns are dropped from a row's accumulator just
 /// before the row is final.
 ///
-/// With several column bands a step visits only the band's rows that
-/// hold `A` entries in its column band (the only rows a remote partial
-/// can reach), and drains each into one band buffer tagged with its row.
-/// At the band's end a stable counting pass groups those segments by row
-/// in `cb` order: an unmasked row with one segment is copied as drained,
-/// any other ⊕-merged through the accumulator, so every output bit is
-/// what merging one drained row per column band would give.
+/// With several column bands a step visits only the band's rows that hold
+/// `A` entries in its column band (the only rows a remote partial can
+/// reach), and drains each into one band buffer tagged with its row. At the
+/// band's end a stable counting pass groups those segments by row in `cb`
+/// order: an unmasked row with one segment is copied as drained, any other
+/// row is ⊕-merged through the accumulator, so every output bit is what
+/// merging one drained row per column band would give.
 fn run<S: Semiring>(
     plan: &TsPlan<'_, S::T>,
     comm: &mut Comm,

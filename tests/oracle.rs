@@ -158,11 +158,10 @@ fn coll_facts(profiles: &[RankProfile]) -> Vec<Vec<CollFacts>> {
                 .iter()
                 .filter_map(|s| s.coll.as_ref())
                 .map(|c| {
-                    let to = c.bytes_to.clone();
                     (
                         c.kind,
                         c.tag.clone(),
-                        to,
+                        c.bytes_to.clone(),
                         c.bytes_received,
                         c.recv_msgs,
                         c.uniform_bytes,
@@ -179,11 +178,12 @@ fn csr_bits<T: Copy>(c: &Csr<T>, bits: impl Fn(T) -> u64) -> (Vec<usize>, Vec<Id
     (c.indptr().to_vec(), c.indices().to_vec(), vals)
 }
 
-/// One multiply on `p` ranks with `threads` pool workers: each rank's `C`
-/// block (less `mask` when given) and stats, the collectives and the
-/// modeled seconds of the run.
+/// Each rank's `C` block and stats, every rank's collectives and the
+/// modeled seconds of one run.
 type MaskedRun<T> = (Vec<(Csr<T>, TsLocalStats)>, Vec<Vec<CollFacts>>, f64);
 
+/// One multiply on `p` ranks with `threads` pool workers: `ts_spgemm`, or
+/// a plan's multiply less `mask` when one is given.
 fn masked_run<S: Semiring>(
     acoo: &Coo<S::T>,
     bcoo: &Coo<S::T>,
@@ -278,7 +278,6 @@ proptest! {
         d in 2usize..10,
         seed in 0u64..10_000,
     ) {
-        let _g = tsgemm_pool_lock();
         let configured = tsgemm::pool::configured_threads();
         let acoo = erdos_renyi(n, 4.0, seed);
         let bcoo = random_tall(n, d, 0.5, seed ^ 0x9E37);
@@ -290,12 +289,6 @@ proptest! {
         check_masked::<BoolAndOr>(&ab, &bb, &bool_masks, |v| v as u64, "(and,or)");
         tsgemm::pool::set_threads(configured);
     }
-}
-
-/// The pool size is process-wide: the runs that pin it hold this lock.
-fn tsgemm_pool_lock() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[test]
