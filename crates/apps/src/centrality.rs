@@ -17,7 +17,7 @@ use tsgemm_core::dist::DistCsr;
 use tsgemm_core::exec::{TsConfig, TsPlan};
 use tsgemm_net::Comm;
 use tsgemm_sparse::semiring::BoolAndOr;
-use tsgemm_sparse::{Coo, Csr, Idx, MinPlusF64};
+use tsgemm_sparse::{BitRows, Coo, Csr, Idx, MinPlusF64};
 
 /// Runs multi-source BFS and returns this rank's rows of the **level
 /// matrix**: entry `(v, j)` is the BFS distance from `sources[j]` to `v`
@@ -45,7 +45,7 @@ pub fn msbfs_levels(
         ..TsConfig::default()
     };
     let plan = TsPlan::new(comm, a, ac, &cfg);
-    let multiply = |comm: &mut Comm, iter: usize, f: Csr<bool>, s: &Csr<bool>, _| {
+    let multiply = |comm: &mut Comm, iter: usize, f: Csr<bool>, s: &BitRows, _| {
         let f = DistCsr {
             dist,
             rank: comm.rank(),

@@ -9,11 +9,15 @@
 //! (Fig. 12). Following §V-F, when the frontier is less than 50% sparse the
 //! multiply can switch to the SpMM form of the same schedule.
 //!
-//! The TS-SpGEMM traversals build one [`TsPlan`] per traversal and hand it
-//! `S` as a complement mask, so each multiply returns `F = N \ S` directly:
-//! the tile owner drops the visited columns as each row becomes final, and
-//! `N` is never materialised. The SUMMA and SpMM forms compute `N` and
-//! filter it themselves.
+//! The visited set is kept as bit rows ([`BitRows`]), one bit per (vertex,
+//! source) as in "The more the merrier" (the paper's \[11\]): each new
+//! frontier is ORed into it in place, and the CSR `S` a variant returns is
+//! written from it once, at the end. The TS-SpGEMM traversals build one
+//! [`TsPlan`] per traversal and hand it the bits as a complement mask, so
+//! each multiply returns `F = N \ S` directly: the tile owner drops the
+//! visited columns word by word as it drains each row, skips the rows every
+//! source has reached, and never materialises `N`. The SUMMA and SpMM forms
+//! compute `N` and filter it by bit themselves.
 
 use tsgemm_baselines::grid::Grid2d;
 use tsgemm_baselines::summa2d::{extract_block, summa_stages};
@@ -23,10 +27,9 @@ use tsgemm_core::exec::{TsConfig, TsPlan};
 use tsgemm_core::part::BlockDist;
 use tsgemm_core::spmm::dist_spmm;
 use tsgemm_net::Comm;
-use tsgemm_sparse::ewise::{andnot, union};
 use tsgemm_sparse::semiring::{BoolAndOr, Semiring};
 use tsgemm_sparse::spgemm::AccumChoice;
-use tsgemm_sparse::{Coo, Csr, DenseMat, Idx};
+use tsgemm_sparse::{BitRows, Coo, Csr, DenseMat, Idx};
 
 /// Configuration of a multi-source BFS run.
 #[derive(Clone, Debug)]
@@ -86,28 +89,29 @@ pub fn init_frontier_block(dist: BlockDist, rank: usize, sources: &[Idx]) -> Dis
 }
 
 /// Alg. 3's frontier loop, shared by every multi-source BFS here. `f` is
-/// this rank's part of the initial frontier, which also starts the visited
-/// set `S`. While the global frontier is non-empty, for at most `max_iters`
-/// iterations `k`:
+/// this rank's part of the initial frontier, whose pattern also starts the
+/// visited set `S`, kept as bit rows. While the global frontier is
+/// non-empty, for at most `max_iters` iterations `k`:
 ///
 /// * `F ← multiply(comm, k, F, S, global nnz of F)`, which returns the
 ///   unvisited part `N \ S` of `N = A ⊗ F` and says whether it used the
 ///   SpMM form;
-/// * `S ← S ⊕ F`, then `fresh(k, F)`;
+/// * `S ← S ∨ F`, ORing `F`'s pattern into the bits in place, then
+///   `fresh(k, F)`;
 /// * two AllReduces agree on the next frontier's size and the discovered
 ///   count (tags `{tag}:i{k}:count` and `{tag}:i{k}:disc`; the first
 ///   frontier is counted under `{tag}:i0:count`).
 ///
-/// Returns `S` and the per-iteration statistics.
+/// Returns the bits of `S` and the per-iteration statistics.
 pub(crate) fn frontier_loop<S: Semiring>(
     comm: &mut Comm,
     mut f: Csr<S::T>,
     max_iters: usize,
     tag: &str,
-    mut multiply: impl FnMut(&mut Comm, usize, Csr<S::T>, &Csr<S::T>, u64) -> (Csr<S::T>, bool),
+    mut multiply: impl FnMut(&mut Comm, usize, Csr<S::T>, &BitRows, u64) -> (Csr<S::T>, bool),
     mut fresh: impl FnMut(usize, &Csr<S::T>),
-) -> (Csr<S::T>, Vec<BfsIterStats>) {
-    let mut s = f.clone();
+) -> (BitRows, Vec<BfsIterStats>) {
+    let mut s = BitRows::from_pattern(&f);
     let mut stats = Vec::new();
     let count = |comm: &mut Comm, x: u64, tag: String| comm.allreduce(x, |a, b| a + b, tag);
     let mut frontier_nnz = count(comm, f.nnz() as u64, format!("{tag}:i0:count"));
@@ -115,10 +119,10 @@ pub(crate) fn frontier_loop<S: Semiring>(
         if frontier_nnz == 0 {
             break;
         }
-        // F ← N \ S inside the multiply ; S ← S ⊕ F (lines 7-8).
+        // F ← N \ S inside the multiply ; S ← S ∨ F (lines 7-8).
         let used_spmm;
         (f, used_spmm) = multiply(comm, iter, f, &s, frontier_nnz);
-        s = union::<S>(&s, &f);
+        s.or_pattern(&f);
         fresh(iter, &f);
         // One end-of-iteration reduction doubles as the next loop guard.
         let next_frontier = count(comm, f.nnz() as u64, format!("{tag}:i{iter}:count"));
@@ -151,7 +155,7 @@ pub fn msbfs_ts(
     let base = &cfg.ts.tag;
     let f0 = init_frontier_block(dist, comm.rank(), sources).local;
     let plan = TsPlan::new(comm, a, ac, &cfg.ts);
-    let multiply = |comm: &mut Comm, iter: usize, f: Csr<bool>, s: &Csr<bool>, frontier_nnz| {
+    let multiply = |comm: &mut Comm, iter: usize, f: Csr<bool>, s: &BitRows, frontier_nnz| {
         let f = DistCsr {
             dist,
             rank: comm.rank(),
@@ -162,7 +166,7 @@ pub fn msbfs_ts(
             let fd = DenseMat::from_csr::<BoolAndOr>(&f.local);
             let scfg = cfg.ts.tile_config(format!("{base}:i{iter}:spmm"));
             let (cd, _) = dist_spmm::<BoolAndOr>(comm, a, ac, &fd, &scfg);
-            (andnot(&cd.to_csr::<BoolAndOr>(), s), true)
+            (s.clear_part(&cd.to_csr::<BoolAndOr>()), true)
         } else {
             let tag = format!("{base}:i{iter}");
             (plan.multiply::<BoolAndOr>(comm, &f, Some(s), &tag).0, false)
@@ -173,7 +177,7 @@ pub fn msbfs_ts(
         use tsgemm_net::Metrics;
         comm.metrics(|m| stats.iter().for_each(|st| m.merge(&st.registry(base))));
     }
-    (s, stats)
+    (s.to_csr(true), stats)
 }
 
 /// Result of the SUMMA-backend BFS: this rank's `S` block, its global row
@@ -214,7 +218,7 @@ pub fn msbfs_summa2d(
             .collect(),
     );
     let f_block = extract_block::<BoolAndOr>(&f0, rlo..rhi, dlo..dhi);
-    let multiply = |comm: &mut Comm, iter: usize, f_block: Csr<bool>, s: &Csr<bool>, _| {
+    let multiply = |comm: &mut Comm, iter: usize, f_block: Csr<bool>, s: &BitRows, _| {
         let (c_trips, flops) = summa_stages::<BoolAndOr>(
             &mut grid,
             &a_block,
@@ -227,11 +231,11 @@ pub fn msbfs_summa2d(
         );
         comm.add_flops(flops);
         let next = Coo::from_entries(my_rows, my_dcols, c_trips).to_csr::<BoolAndOr>();
-        (andnot(&next, s), false)
+        (s.clear_part(&next), false)
     };
     let (s_block, stats) =
         frontier_loop::<BoolAndOr>(comm, f_block, max_iters, tag, multiply, |_, _| {});
-    (s_block, (rlo, rhi), (dlo, dhi), stats)
+    (s_block.to_csr(true), (rlo, rhi), (dlo, dhi), stats)
 }
 
 /// Multi-source BFS that also reconstructs the BFS forest, using the
@@ -268,6 +272,15 @@ pub fn msbfs_parents(
             .collect(),
     );
     let f0 = DistCsr::from_global_coo::<Sel2ndMinF64>(&f0, dist, me, d).local;
+    // The frontiers are disjoint, so together they hold each visited
+    // entry's parent once: collect them and assemble `S` at the end.
+    let mut found: Vec<(Idx, Idx, f64)> = Vec::new();
+    let mut collect = |f: &Csr<f64>| {
+        for (r, cols, vals) in f.iter_rows() {
+            found.extend(cols.iter().zip(vals).map(|(&c, &v)| (r as Idx, c, v)));
+        }
+    };
+    collect(&f0);
     let cfg = TsConfig {
         tag: tag.to_string(),
         ..TsConfig::default()
@@ -276,7 +289,7 @@ pub fn msbfs_parents(
     // N(r, j) = min over frontier neighbours of (their id + 1): the sel2nd
     // ⊗ carries the frontier value (the candidate parent) and min ⊕
     // resolves ties. The A value is ignored by sel2nd.
-    let multiply = |comm: &mut Comm, iter: usize, f: Csr<f64>, s: &Csr<f64>, _| {
+    let multiply = |comm: &mut Comm, iter: usize, f: Csr<f64>, s: &BitRows, _| {
         // Frontier must carry the *discoverer's* id, so re-stamp each
         // frontier row's values with its own vertex id before expanding.
         let stamps = f
@@ -295,8 +308,9 @@ pub fn msbfs_parents(
             false,
         )
     };
-    let (parents, stats) =
-        frontier_loop::<Sel2ndMinF64>(comm, f0, max_iters, tag, multiply, |_, _| {});
+    let (_, stats) =
+        frontier_loop::<Sel2ndMinF64>(comm, f0, max_iters, tag, multiply, |_, f| collect(f));
+    let parents = Coo::from_entries(a_num.local_rows(), d, found).into_csr::<Sel2ndMinF64>();
     // Stored values are parent + 1; shift back to parent ids.
     (parents.map_values(|v| v - 1.0), stats)
 }

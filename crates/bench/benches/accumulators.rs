@@ -22,7 +22,7 @@ fn drive<A: Accumulator<PlusTimesF64>>(acc: &mut A, d: usize, updates: usize) ->
         }
         idx.clear();
         val.clear();
-        acc.drain_sorted(&mut idx, &mut val);
+        acc.drain_sorted(&[], &mut idx, &mut val);
         emitted += idx.len();
     }
     emitted

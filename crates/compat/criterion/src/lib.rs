@@ -32,7 +32,9 @@ impl BenchmarkId {
 
 impl From<&str> for BenchmarkId {
     fn from(s: &str) -> Self {
-        Self { label: s.to_string() }
+        Self {
+            label: s.to_string(),
+        }
     }
 }
 
@@ -75,7 +77,9 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        let mut bencher = Bencher { samples: Vec::new() };
+        let mut bencher = Bencher {
+            samples: Vec::new(),
+        };
         // One warm-up plus `sample_size` measured samples, all delegated to
         // the closure's own `iter` calls.
         for _ in 0..self.sample_size.min(3) {
@@ -86,18 +90,15 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    pub fn bench_with_input<I, F>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
+    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher, &I),
     {
         let name = self.name.clone();
         let label = format!("{}/{}", name, id.label);
-        let mut bencher = Bencher { samples: Vec::new() };
+        let mut bencher = Bencher {
+            samples: Vec::new(),
+        };
         for _ in 0..self.sample_size.min(3) {
             f(&mut bencher, input);
         }

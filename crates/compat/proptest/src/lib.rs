@@ -268,13 +268,19 @@ pub mod collection {
     impl From<core::ops::Range<usize>> for SizeRange {
         fn from(r: core::ops::Range<usize>) -> Self {
             assert!(r.start < r.end, "empty vec size range");
-            Self { lo: r.start, hi: r.end - 1 }
+            Self {
+                lo: r.start,
+                hi: r.end - 1,
+            }
         }
     }
 
     impl From<core::ops::RangeInclusive<usize>> for SizeRange {
         fn from(r: core::ops::RangeInclusive<usize>) -> Self {
-            Self { lo: *r.start(), hi: *r.end() }
+            Self {
+                lo: *r.start(),
+                hi: *r.end(),
+            }
         }
     }
 
@@ -285,7 +291,10 @@ pub mod collection {
 
     /// Mirrors `proptest::collection::vec`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {

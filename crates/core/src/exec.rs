@@ -28,7 +28,7 @@ use tsgemm_pool::{nnz_chunks_range, ThreadPool};
 use tsgemm_sparse::accum::{Accumulator, HashAccum, Spa};
 use tsgemm_sparse::semiring::Semiring;
 use tsgemm_sparse::spgemm::{spgemm, spgemm_flops, AccumChoice};
-use tsgemm_sparse::{Csr, Idx};
+use tsgemm_sparse::{BitRows, Csr, Idx};
 
 /// Configuration of one TS-SpGEMM invocation.
 #[derive(Clone, Debug)]
@@ -213,18 +213,20 @@ impl<'a, T: Copy + Send + Sync + 'static> TsPlan<'a, T> {
     }
 
     /// [`ts_spgemm`] through the plan, tagged `tag`, with every entry whose
-    /// coordinate is stored in `mask` dropped: `C = (A ⊗ B) \ M`, where
-    /// `mask` holds this rank's rows of an `n × d` matrix, like `C`.
+    /// bit is set in `mask` dropped: `C = (A ⊗ B) \ M`, where `mask` holds
+    /// this rank's rows of an `n × d` matrix, like `C`.
     ///
-    /// The mask acts only where a row becomes final, on the tile owner,
-    /// after all communication: remote partials ship unmasked, so bytes,
+    /// The mask acts only on the tile owner, as it drains each row, after
+    /// the step's communication: remote partials ship unmasked, so bytes,
     /// collectives, flops and modeled time are those of the unmasked
-    /// multiply, and the output is exactly `andnot(A ⊗ B, M)`.
+    /// multiply, and the output is exactly `andnot(A ⊗ B, M)`. A row whose
+    /// mask row is full drains empty without accumulating anything; its
+    /// products still count as flops.
     pub fn multiply<S: Semiring<T = T>>(
         &self,
         comm: &mut Comm,
         b: &DistCsr<T>,
-        mask: Option<&Csr<T>>,
+        mask: Option<&BitRows>,
         tag: &str,
     ) -> (Csr<T>, TsLocalStats) {
         let _run_span = comm.span(|| tag.to_string());
@@ -238,21 +240,22 @@ impl<'a, T: Copy + Send + Sync + 'static> TsPlan<'a, T> {
 /// row is ⊕-merged (Alg. 2's MERGE) through one accumulator in a fixed
 /// order: the owner's own contributions in `A`-column order, then the
 /// remote partials in source-rank order, then the column bands in `cb`
-/// order. The mask's columns are dropped from a row's accumulator just
-/// before the row is final.
+/// order. Every drain drops the row's mask columns.
 ///
 /// With several column bands a step visits only the band's rows that hold
 /// `A` entries in its column band (the only rows a remote partial can
 /// reach), and drains each into one band buffer tagged with its row. At the
 /// band's end a stable counting pass groups those segments by row in `cb`
-/// order: an unmasked row with one segment is copied as drained, any other
-/// row is ⊕-merged through the accumulator, so every output bit is what
-/// merging one drained row per column band would give.
+/// order: a row with one segment is copied as drained, any other row is
+/// ⊕-merged through the accumulator, so every output bit is what merging
+/// one drained row per column band would give. A masked column is dropped
+/// from every segment, so it is dropped from the merged row, and an
+/// unmasked one merges the same values it would without a mask.
 fn run<S: Semiring>(
     plan: &TsPlan<'_, S::T>,
     comm: &mut Comm,
     b: &DistCsr<S::T>,
-    mask: Option<&Csr<S::T>>,
+    mask: Option<&BitRows>,
     tag: &str,
 ) -> Result<(Csr<S::T>, TsLocalStats), CommError> {
     let (a, ac, tiling, buckets) = (plan.a, plan.ac, &plan.tiling, &plan.buckets);
@@ -306,9 +309,6 @@ fn run<S: Semiring>(
         let (band_lo, band_hi) = tiling.band_range(me, rb);
         let lo_l = (band_lo - my_lo) as usize;
         let hi_l = (band_hi - my_lo) as usize;
-        // A row is final in its step with one column band, and in the band
-        // merge with several: the mask acts there.
-        let band_mask = BandMask { mask, first: lo_l };
         for cb in 0..tiling.n_col_bands {
             comm.flight_record(
                 tag,
@@ -384,11 +384,7 @@ fn run<S: Semiring>(
                 own: modes.own(rb, cb),
                 brows: &brows,
                 cparts: &cparts,
-                mask: if multi_band {
-                    BandMask::NONE
-                } else {
-                    band_mask
-                },
+                mask: BandMask { mask, first: lo_l },
                 d,
             };
             let segs = active.step(cb);
@@ -443,7 +439,7 @@ fn run<S: Semiring>(
         // ---- MERGE: ⊕ the band's column-band segments row by row --------
         if multi_band {
             let merge_span = comm.span(|| format!("{tag}:merge"));
-            acc.merge_band(&mut band, hi_l - lo_l, band_mask, &mut c_out);
+            acc.merge_band(&mut band, hi_l - lo_l, &mut c_out);
             merge_span.end();
         }
     }
@@ -552,48 +548,48 @@ impl<S: Semiring> RowAccum<S> {
         &mut self,
         band: &mut BandSegments<S::T>,
         nrows: usize,
-        mask: BandMask<'_, S::T>,
         out: &mut RowBlock<S::T>,
     ) {
         match self {
-            Self::Spa(a) => band.merge_into(nrows, a, mask, out),
-            Self::Hash(a) => band.merge_into(nrows, a, mask, out),
+            Self::Spa(a) => band.merge_into(nrows, a, out),
+            Self::Hash(a) => band.merge_into(nrows, a, out),
         }
     }
 }
 
-/// Drains the accumulated row (sorted, semiring zeros and the `skip`
-/// columns dropped) as the next row of `out`. Each skipped column costs the
-/// accumulator one O(1) removal.
-fn drain_row<S: Semiring, A: Accumulator<S>>(acc: &mut A, skip: &[Idx], out: &mut RowBlock<S::T>) {
-    for &c in skip {
-        acc.remove(c);
-    }
-    acc.drain_sorted(&mut out.indices, &mut out.values);
+/// Drains the accumulated row (sorted, semiring zeros and the columns set
+/// in `mask` dropped) as the next row of `out`.
+fn drain_row<S: Semiring, A: Accumulator<S>>(acc: &mut A, mask: &[u64], out: &mut RowBlock<S::T>) {
+    acc.drain_sorted(mask, &mut out.indices, &mut out.values);
     out.indptr.push(out.indices.len());
 }
 
 /// The structural complement mask over one row band: band row `r` is local
-/// row `first + r` of `mask`, and its stored columns are dropped from the
+/// row `first + r` of `mask`, and its set columns are dropped from the
 /// output row.
 #[derive(Clone, Copy)]
-struct BandMask<'a, T> {
-    mask: Option<&'a Csr<T>>,
+struct BandMask<'a> {
+    mask: Option<&'a BitRows>,
     first: usize,
 }
 
-impl<'a, T: Copy> BandMask<'a, T> {
-    const NONE: Self = Self {
-        mask: None,
-        first: 0,
-    };
-
-    /// The columns masked out of band row `r` (none without a mask).
-    fn row(&self, r: usize) -> &'a [Idx] {
+impl<'a> BandMask<'a> {
+    /// Band row `r`'s mask words (none without a mask).
+    fn row(&self, r: usize) -> &'a [u64] {
         match self.mask {
-            Some(m) => m.row(self.first + r).0,
+            Some(m) => m.row(self.first + r),
             None => &[],
         }
+    }
+
+    /// The number of columns masked out of band row `r`.
+    fn count(&self, r: usize) -> usize {
+        self.mask.map_or(0, |m| m.row_count(self.first + r))
+    }
+
+    /// Whether band row `r` has every column masked out.
+    fn full(&self, r: usize) -> bool {
+        self.mask.is_some_and(|m| m.row_full(self.first + r))
     }
 }
 
@@ -705,18 +701,16 @@ impl<T: Copy> BandSegments<T> {
         }
     }
 
-    /// Appends the band's `nrows` rows, less the `mask` columns, to `out`
-    /// and empties the buffer. A stable counting pass groups the segments by
-    /// row, keeping `cb` order. A row without segments is empty, one
-    /// segment with no masked columns is copied as drained (a drained row
-    /// is sorted and holds no zeros, so accumulating and draining it again
-    /// would give the same bits), and any other row is ⊕-merged through
-    /// `acc` in `cb` order.
+    /// Appends the band's `nrows` rows to `out` and empties the buffer. A
+    /// stable counting pass groups the segments by row, keeping `cb` order.
+    /// A row without segments is empty, one segment is copied as drained (a
+    /// drained row is sorted and holds no zeros, so accumulating and
+    /// draining it again would give the same bits), and any other row is
+    /// ⊕-merged through `acc` in `cb` order.
     fn merge_into<S: Semiring<T = T>, A: Accumulator<S>>(
         &mut self,
         nrows: usize,
         acc: &mut A,
-        mask: BandMask<'_, T>,
         out: &mut RowBlock<T>,
     ) {
         self.start.clear();
@@ -737,22 +731,22 @@ impl<T: Copy> BandSegments<T> {
         let mut lo = 0;
         for r in 0..nrows {
             let hi = self.start[r];
-            match (&self.order[lo..hi], mask.row(r)) {
-                ([], _) => out.indptr.push(out.indices.len()),
-                (&[k], []) => {
+            match &self.order[lo..hi] {
+                [] => out.indptr.push(out.indices.len()),
+                &[k] => {
                     let (cols, vals) = self.rows.row(k as usize);
                     out.indices.extend_from_slice(cols);
                     out.values.extend_from_slice(vals);
                     out.indptr.push(out.indices.len());
                 }
-                (segs, skip) => {
+                segs => {
                     for &k in segs {
                         let (cols, vals) = self.rows.row(k as usize);
                         for (&c, &v) in cols.iter().zip(vals) {
                             acc.accumulate(c, v);
                         }
                     }
-                    drain_row(acc, skip, out);
+                    drain_row(acc, &[], out);
                 }
             }
             lo = hi;
@@ -779,8 +773,8 @@ struct OwnerCtx<'a, S: Semiring> {
     brows: &'a RowIndex<(Idx, S::T)>,
     /// Received partial C rows over the row band.
     cparts: &'a RowIndex<(Idx, S::T)>,
-    /// Columns dropped from each final row; empty while rows are segments.
-    mask: BandMask<'a, S::T>,
+    /// Columns dropped from each drained row or segment.
+    mask: BandMask<'a>,
     /// Output columns.
     d: usize,
 }
@@ -834,21 +828,28 @@ impl<'a, S: Semiring> OwnerCtx<'a, S> {
         })
     }
 
+    /// The products of `seg`'s row the owner forms: its flops.
+    fn products(&self, seg: &Segment) -> usize {
+        self.b_rows(seg).map(|(_, brow)| brow.len()).sum()
+    }
+
     /// At most this many entries drain from `seg`'s row: one per product
     /// and per received partial, and never more than the `d` columns the
     /// mask leaves.
     fn row_bound(&self, seg: &Segment) -> usize {
-        let products: usize = self.b_rows(seg).map(|(_, brow)| brow.len()).sum();
         let row = seg.row as usize;
-        (products + self.cparts.row(row).len()).min(self.d - self.mask.row(row).len())
+        (self.products(seg) + self.cparts.row(row).len()).min(self.d - self.mask.count(row))
     }
 }
 
 /// The tile-owner multiply for a run of a step's row segments: Gustavson
 /// over each row's entries in the tile's column slice plus the row's remote
-/// partials, each row drained once into `out`, less its masked columns. A row's output depends only
-/// on that row's accumulate/drain sequence, so any partition of the step's
-/// segments into runs, appended in order, reproduces the full pass exactly.
+/// partials, each row drained once into `out`, less its masked columns. A
+/// row whose mask row is full drains empty at once: its products are
+/// counted, as the reserve pass counts them, but not formed. A row's output
+/// depends only on that row's accumulate/drain sequence, so any partition
+/// of the step's segments into runs, appended in order, reproduces the full
+/// pass exactly.
 ///
 /// `out` is first sized for the run's [`OwnerCtx::row_bound`]s, so the
 /// pass writes its rows without growing a buffer.
@@ -861,7 +862,12 @@ fn owner_rows<S: Semiring, A: Accumulator<S>>(
     out.reserve(segs.len(), segs.iter().map(|seg| ctx.row_bound(seg)).sum());
     let mut flops = 0u64;
     for seg in segs {
-        let row_start = flops;
+        let row = seg.row as usize;
+        if ctx.mask.full(row) {
+            flops += ctx.products(seg) as u64;
+            out.indptr.push(out.indices.len());
+            continue;
+        }
         for (va, brow) in ctx.b_rows(seg) {
             flops += brow.len() as u64;
             match brow {
@@ -877,19 +883,11 @@ fn owner_rows<S: Semiring, A: Accumulator<S>>(
                 }
             }
         }
-        let parts = ctx.cparts.row(seg.row as usize);
-        for &(col, val) in parts {
+        for &(col, val) in ctx.cparts.row(row) {
             acc.accumulate(col, val);
         }
-        // A row nothing reached drains empty, whatever its mask says.
-        let reached = flops > row_start || !parts.is_empty();
-        let skip = if reached {
-            ctx.mask.row(seg.row as usize)
-        } else {
-            &[]
-        };
         let start = out.indices.len();
-        drain_row(acc, skip, out);
+        drain_row(acc, ctx.mask.row(row), out);
         debug_assert!(
             out.indices.len() - start <= ctx.row_bound(seg),
             "row {} drained past its reserved bound",
@@ -1387,7 +1385,10 @@ mod tests {
                 own: &own,
                 brows: &brows,
                 cparts: &cparts,
-                mask: BandMask::NONE,
+                mask: BandMask {
+                    mask: None,
+                    first: 0,
+                },
                 d,
             };
             let segs = active.step(cb);

@@ -20,7 +20,12 @@
 //! costs O(width / 64 + touched). [`HashAccum`] stores a fresh key's value
 //! as `zero ⊕ v` too, so the two drain identical bits on every stream (a
 //! NaN's sign and payload aside, which Rust leaves unspecified).
+//!
+//! A drain can take one row of a [`BitRows`](crate::bits::BitRows) mask and
+//! drop the columns set in it (a structural complement mask): the SPA clears
+//! them a word at a time, the hash accumulator tests one bit per key.
 
+use crate::bits::bit_set;
 use crate::semiring::Semiring;
 use crate::Idx;
 
@@ -32,14 +37,11 @@ pub trait Accumulator<S: Semiring> {
     /// Number of distinct positions touched since the last drain/reset.
     fn touched(&self) -> usize;
 
-    /// Discards what was accumulated at position `idx`, in O(1), so the
-    /// next drain does not emit it (a structural complement mask).
-    fn remove(&mut self, idx: Idx);
-
     /// Appends the accumulated `(index, value)` pairs in increasing index
-    /// order to the output vectors, dropping semiring zeros, and resets the
-    /// accumulator for the next row.
-    fn drain_sorted(&mut self, idx_out: &mut Vec<Idx>, val_out: &mut Vec<S::T>);
+    /// order to the output vectors, dropping semiring zeros and every index
+    /// whose bit is set in `mask` (one bit-row's words; an empty slice masks
+    /// nothing), and resets the accumulator for the next row.
+    fn drain_sorted(&mut self, mask: &[u64], idx_out: &mut Vec<Idx>, val_out: &mut Vec<S::T>);
 
     /// Discards accumulated state without emitting it.
     fn reset(&mut self);
@@ -80,16 +82,16 @@ impl<S: Semiring> Accumulator<S> for Spa<S> {
         self.touched.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    #[inline]
-    fn remove(&mut self, idx: Idx) {
-        let i = idx as usize;
-        self.touched[i / 64] &= !(1 << (i % 64));
-        self.vals[i] = S::zero();
-    }
-
-    fn drain_sorted(&mut self, idx_out: &mut Vec<Idx>, val_out: &mut Vec<S::T>) {
+    fn drain_sorted(&mut self, mask: &[u64], idx_out: &mut Vec<Idx>, val_out: &mut Vec<S::T>) {
         for (k, word) in self.touched.iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
+            // Masked slots go back to zero unread.
+            let mut masked = bits & mask.get(k).copied().unwrap_or(0);
+            bits ^= masked;
+            while masked != 0 {
+                self.vals[k * 64 + masked.trailing_zeros() as usize] = S::zero();
+                masked &= masked - 1;
+            }
             while bits != 0 {
                 let i = k * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -196,28 +198,16 @@ impl<S: Semiring> Accumulator<S> for HashAccum<S> {
         self.len
     }
 
-    /// One probe: a found key keeps its slot and holds the semiring zero,
-    /// which the drain drops.
-    fn remove(&mut self, idx: Idx) {
-        let mut i = self.slot(idx);
-        while self.keys[i] != EMPTY_KEY {
-            if self.keys[i] == idx {
-                self.vals[i] = S::zero();
-                return;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn drain_sorted(&mut self, idx_out: &mut Vec<Idx>, val_out: &mut Vec<S::T>) {
+    fn drain_sorted(&mut self, mask: &[u64], idx_out: &mut Vec<Idx>, val_out: &mut Vec<S::T>) {
         if self.len == 0 {
             return;
         }
         self.pairs.clear();
         for i in 0..self.keys.len() {
-            if self.keys[i] != EMPTY_KEY {
-                if !S::is_zero(&self.vals[i]) {
-                    self.pairs.push((self.keys[i], self.vals[i]));
+            let key = self.keys[i];
+            if key != EMPTY_KEY {
+                if !S::is_zero(&self.vals[i]) && !bit_set(mask, key) {
+                    self.pairs.push((key, self.vals[i]));
                 }
                 self.keys[i] = EMPTY_KEY;
             }
@@ -290,8 +280,15 @@ mod tests {
     use crate::semiring::{BoolAndOr, PlusTimesF64};
 
     fn drain<S: Semiring, A: Accumulator<S>>(acc: &mut A) -> (Vec<Idx>, Vec<S::T>) {
+        drain_masked(acc, &[])
+    }
+
+    fn drain_masked<S: Semiring, A: Accumulator<S>>(
+        acc: &mut A,
+        mask: &[u64],
+    ) -> (Vec<Idx>, Vec<S::T>) {
         let (mut i, mut v) = (Vec::new(), Vec::new());
-        acc.drain_sorted(&mut i, &mut v);
+        acc.drain_sorted(mask, &mut i, &mut v);
         (i, v)
     }
 
@@ -404,22 +401,29 @@ mod tests {
     }
 
     #[test]
-    fn remove_drops_a_column_and_nothing_else() {
+    fn masked_drain_drops_the_set_columns_and_nothing_else() {
         fn check<A: Accumulator<PlusTimesF64>>(mut acc: A) {
-            for (i, v) in [(9, 1.0), (2, 2.0), (40, 3.0), (9, 4.0)] {
-                acc.accumulate(i, v);
-            }
-            // A touched column, an untouched one and one removed twice.
-            acc.remove(9);
-            acc.remove(5);
-            acc.remove(40);
-            acc.remove(40);
-            assert_eq!(drain(&mut acc), (vec![2], vec![2.0]));
-            // The next row starts clean, the removed columns included.
-            acc.accumulate(40, 1.5);
-            assert_eq!(drain(&mut acc), (vec![40], vec![1.5]));
+            let fill = |acc: &mut A| {
+                for (i, v) in [(9, 1.0), (2, 2.0), (70, 3.0), (9, 4.0), (64, 5.0)] {
+                    acc.accumulate(i, v);
+                }
+            };
+            // Touched columns 9 and 70 and untouched columns 5 and 127 are
+            // masked; 2 and 64 survive.
+            let mask = [1 << 9 | 1 << 5, 1 << (70 - 64) | 1 << 63];
+            fill(&mut acc);
+            assert_eq!(drain_masked(&mut acc, &mask), (vec![2, 64], vec![2.0, 5.0]));
+            // The next row starts clean, the masked columns included.
+            acc.accumulate(70, 1.5);
+            assert_eq!(drain(&mut acc), (vec![70], vec![1.5]));
+            // A full mask drains nothing, and leaves nothing behind.
+            fill(&mut acc);
+            assert_eq!(drain_masked(&mut acc, &[!0, !0]), (vec![], vec![]));
+            assert_eq!(acc.touched(), 0);
+            acc.accumulate(9, 0.5);
+            assert_eq!(drain(&mut acc), (vec![9], vec![0.5]));
         }
-        check(Spa::new(64));
+        check(Spa::new(128));
         check(HashAccum::with_capacity(2));
     }
 

@@ -6,7 +6,8 @@
 //! * algebra: the [`semiring::Semiring`] trait with the instances used in the
 //!   paper (`(+,×)`, `(∧,∨)`, `(min,+)`, `(sel2nd,min)`);
 //! * accumulators: dense [`accum::Spa`] and open-addressing [`accum::HashAccum`]
-//!   (§III-C of the paper);
+//!   (§III-C of the paper), whose drain can drop the columns set in a row of
+//!   [`bits::BitRows`] (one bit per coordinate: the BFS visited set);
 //! * local kernels: row-wise Gustavson SpGEMM ([`spgemm`]), CSR×dense SpMM
 //!   ([`spmm`]), element-wise set ops ([`ewise`]) and top-k sparsification
 //!   ([`sparsify`]);
@@ -20,6 +21,7 @@
 //! semirings and `bool` for the BFS semiring.
 
 pub mod accum;
+pub mod bits;
 pub mod coo;
 pub mod csc;
 pub mod csr;
@@ -39,6 +41,7 @@ pub mod spmm;
 /// of the communication volumes the experiments measure.
 pub type Idx = u32;
 
+pub use bits::BitRows;
 pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::Csr;

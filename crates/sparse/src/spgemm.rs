@@ -125,7 +125,7 @@ fn spgemm_rows_into<S: Semiring, A: Accumulator<S>>(
                 acc.accumulate(bc, S::mul(va, vb));
             }
         }
-        acc.drain_sorted(indices, values);
+        acc.drain_sorted(&[], indices, values);
         indptr.push(indices.len());
     }
 }

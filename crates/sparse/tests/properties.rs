@@ -68,7 +68,7 @@ fn special_f64() -> impl Strategy<Value = f64> {
 
 fn drain<S: Semiring, A: Accumulator<S>>(acc: &mut A, bits: fn(S::T) -> u64) -> Vec<(Idx, u64)> {
     let (mut idx, mut val) = (Vec::new(), Vec::new());
-    acc.drain_sorted(&mut idx, &mut val);
+    acc.drain_sorted(&[], &mut idx, &mut val);
     idx.into_iter().zip(val.into_iter().map(bits)).collect()
 }
 

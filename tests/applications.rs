@@ -3,12 +3,13 @@
 //! maintains its invariants end to end.
 
 use proptest::prelude::*;
-use tsgemm::apps::msbfs::{msbfs_summa2d, msbfs_ts, sequential_msbfs, BfsConfig};
+use tsgemm::apps::msbfs::{msbfs_parents, msbfs_summa2d, msbfs_ts, sequential_msbfs, BfsConfig};
+use tsgemm::apps::msbfs_levels;
 use tsgemm::core::{BlockDist, ColBlocks, DistCsr};
 use tsgemm::net::World;
 use tsgemm::sparse::gen::{erdos_renyi, init_frontier, symmetrize};
 use tsgemm::sparse::semiring::BoolAndOr;
-use tsgemm::sparse::{Coo, Idx};
+use tsgemm::sparse::{Coo, Csr, Idx, MinPlusF64};
 
 fn graph(n: usize, deg: f64, seed: u64) -> Coo<bool> {
     symmetrize(&erdos_renyi(n, deg, seed)).map_values(|_| true)
@@ -112,6 +113,147 @@ fn bfs_visits_exactly_the_reachable_sets() {
     // iteration, one more confirms an empty frontier.
     assert_eq!(stats.len(), 2);
     assert_eq!(stats[1].discovered_nnz, 0);
+}
+
+/// A 240-vertex graph in two components: an Erdős–Rényi graph plus a ring
+/// over vertices `0..220`, and a path over `220..240`.
+fn two_component_graph() -> Coo<f64> {
+    let (n, main) = (240, 220);
+    let mut g = Coo::new(n, n);
+    for &(r, c, _) in erdos_renyi(main, 2.0, 0xB17).entries() {
+        g.push(r, c, 1.0);
+    }
+    for v in 0..main as Idx {
+        g.push(v, (v + 1) % main as Idx, 1.0);
+    }
+    for v in main as Idx..n as Idx - 1 {
+        g.push(v, v + 1, 1.0);
+    }
+    symmetrize(&g)
+}
+
+/// BFS distances from each source (`None` where unreached).
+fn queue_levels(adj: &Csr<bool>, sources: &[Idx]) -> Vec<Vec<Option<u32>>> {
+    let at = adj.transpose();
+    sources
+        .iter()
+        .map(|&s| {
+            let mut dist = vec![None; adj.nrows()];
+            let mut queue = std::collections::VecDeque::from([s]);
+            dist[s as usize] = Some(0);
+            while let Some(v) = queue.pop_front() {
+                for &r in at.row(v as usize).0 {
+                    if dist[r as usize].is_none() {
+                        dist[r as usize] = Some(dist[v as usize].unwrap() + 1);
+                        queue.push_back(r);
+                    }
+                }
+            }
+            dist
+        })
+        .collect()
+}
+
+#[test]
+fn bfs_across_word_boundaries() {
+    // Source counts on both sides of each 64-bit word boundary of the
+    // visited set. With d <= 65 every source lies in the big component, so
+    // its rows end up full (every source reached them); with d = 130 two
+    // sources lie on the path, so no row is ever full.
+    let g = two_component_graph();
+    let n = g.nrows();
+    let gb = g.map_values(|_| true);
+    let adj = gb.to_csr::<BoolAndOr>();
+    for d in [1usize, 63, 64, 65, 130] {
+        let sources: Vec<Idx> = (0..d as Idx)
+            .map(|j| match j % 64 {
+                63 if d > 65 => 220 + j % 20,
+                _ => (j * 7) % 220,
+            })
+            .collect();
+        let expected = sequential_msbfs(&adj, &sources);
+        let levels = queue_levels(&adj, &sources);
+        for p in [1, 3, 4] {
+            let at = format!("d={d} p={p}");
+            let out = World::run(p, |comm| {
+                let dist = BlockDist::new(n, p);
+                let a = DistCsr::from_global_coo::<BoolAndOr>(&gb, dist, comm.rank(), n);
+                let ac = ColBlocks::build::<BoolAndOr>(comm, &a);
+                let visited = [false, true].map(|spmm_switch| {
+                    let cfg = BfsConfig {
+                        spmm_switch,
+                        ..BfsConfig::default()
+                    };
+                    let (s, _) = msbfs_ts(comm, &a, &ac, &sources, &cfg);
+                    DistCsr {
+                        dist,
+                        rank: comm.rank(),
+                        local: s,
+                    }
+                    .gather_global::<BoolAndOr>(comm)
+                });
+                let (lv, _) = msbfs_levels(comm, &a, &ac, &sources, 1000, "lv");
+                use tsgemm::sparse::PlusTimesF64;
+                let an = DistCsr::from_global_coo::<PlusTimesF64>(&g, dist, comm.rank(), n);
+                let acn = ColBlocks::build::<PlusTimesF64>(comm, &an);
+                let (pa, _) = msbfs_parents(comm, &an, &acn, &sources, 1000, "pa");
+                // Gathered under (min,+), whose zero is +inf, so a level or
+                // parent of 0 is kept.
+                let [lv, pa] = [lv, pa].map(|local| {
+                    DistCsr {
+                        dist,
+                        rank: comm.rank(),
+                        local,
+                    }
+                    .gather_global::<MinPlusF64>(comm)
+                });
+                (visited, lv, pa)
+            });
+            let (visited, lv, pa) = &out.results[0];
+            assert_eq!(visited[0], expected, "{at}: msbfs_ts");
+            assert_eq!(visited[1], expected, "{at}: msbfs_ts with spmm_switch");
+            for v in 0..n {
+                for (j, want) in levels.iter().enumerate() {
+                    let got = lv.get(v, j as Idx).map(|x| x as u32);
+                    assert_eq!(got, want[v], "{at}: level of {v} from source {j}");
+                }
+            }
+            // A BFS forest: the visited sets, each source its own parent,
+            // and every other vertex's parent an adjacent vertex one level
+            // nearer its source.
+            assert_eq!(pa.indptr(), expected.indptr(), "{at}: parents");
+            assert_eq!(pa.indices(), expected.indices(), "{at}: parents");
+            for (v, cols, vals) in pa.iter_rows() {
+                for (&j, &parent) in cols.iter().zip(vals) {
+                    let (j, parent) = (j as usize, parent as usize);
+                    if v as Idx == sources[j] {
+                        assert_eq!(parent, v, "{at}: source {j}");
+                    } else {
+                        assert!(adj.get(v, parent as Idx).is_some(), "{at}: {v}'s parent");
+                        let level = |u: usize| levels[j][u].unwrap();
+                        assert_eq!(level(parent) + 1, level(v), "{at}: {v}'s parent");
+                    }
+                }
+            }
+        }
+        // 2-D SUMMA needs a square rank count.
+        for side in [1, 2] {
+            let out = World::run(side * side, |comm| {
+                let (s_block, rows, cols, _) = msbfs_summa2d(comm, &gb, &sources, 1000, "b2");
+                let mut trips: Vec<(Idx, Idx, bool)> = Vec::new();
+                for (r, cs, vs) in s_block.iter_rows() {
+                    for (&c, &v) in cs.iter().zip(vs) {
+                        trips.push((rows.0 + r as Idx, cols.0 + c, v));
+                    }
+                }
+                let all = comm.allgatherv(trips, "gather:verify");
+                Coo::from_entries(n, d, all.into_iter().flatten().collect()).to_csr::<BoolAndOr>()
+            });
+            for s in out.results {
+                assert_eq!(s, expected, "d={d} p={}: msbfs_summa2d", side * side);
+            }
+        }
+    }
 }
 
 #[test]

@@ -202,6 +202,7 @@ fn masked_run<S: Semiring>(
             None => ts_spgemm::<S>(comm, &a, &ac, &b, cfg),
             Some(m) => {
                 let m = DistCsr::from_global_coo::<S>(m, dist, comm.rank(), d).local;
+                let m = tsgemm::sparse::BitRows::from_pattern(&m);
                 TsPlan::new(comm, &a, &ac, cfg).multiply::<S>(comm, &b, Some(&m), &cfg.tag)
             }
         }
