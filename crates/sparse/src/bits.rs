@@ -23,14 +23,14 @@ pub struct BitRows {
 
 /// Whether bit `c` of a row's `words` is set; an empty row holds no bits.
 #[inline]
-pub fn bit_set(words: &[u64], c: Idx) -> bool {
+pub(crate) fn bit_set(words: &[u64], c: Idx) -> bool {
     let c = c as usize;
     words.get(c / 64).is_some_and(|w| w >> (c % 64) & 1 != 0)
 }
 
 impl BitRows {
     /// An `nrows × ncols` matrix with no bit set.
-    pub fn new(nrows: usize, ncols: usize) -> Self {
+    pub(crate) fn new(nrows: usize, ncols: usize) -> Self {
         let stride = ncols.div_ceil(64);
         Self {
             nrows,
@@ -63,7 +63,7 @@ impl BitRows {
 
     /// Sets bit `(r, c)`.
     #[inline]
-    pub fn set(&mut self, r: usize, c: Idx) {
+    pub(crate) fn set(&mut self, r: usize, c: Idx) {
         let c = c as usize;
         debug_assert!(c < self.ncols, "column {c} out of {}", self.ncols);
         self.words[r * self.stride + c / 64] |= 1 << (c % 64);
