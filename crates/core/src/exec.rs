@@ -15,6 +15,11 @@
 //! Communication per step is consolidated into two AllToAllv's — `B` rows
 //! (tag `…:bfetch`, Alg. 2 line 27) and returned partials (tag `…:cret`,
 //! line 17) — matching the paper's "consolidated communication".
+//!
+//! Under the boolean semiring with a SPA-sized output (`d ≤ 1024`), the
+//! tile owner works on bit rows: its `B` rows and the fetched ones are
+//! `⌈d/64⌉`-word rows of value bits, and an output row is the OR of the
+//! rows its `true` `A` entries select (see [`BitAccum`]).
 
 use crate::colpart::{ColBlocks, Trip};
 use crate::dist::DistCsr;
@@ -25,7 +30,8 @@ use crate::tiling::{
 };
 use tsgemm_net::{alloc, Comm, CommError, FlightEventKind, Metrics};
 use tsgemm_pool::{nnz_chunks_range, ThreadPool};
-use tsgemm_sparse::accum::{Accumulator, HashAccum, Spa};
+use tsgemm_sparse::accum::{Accumulator, BitAccum, HashAccum, Spa};
+use tsgemm_sparse::bits::BitRowIndex;
 use tsgemm_sparse::semiring::Semiring;
 use tsgemm_sparse::spgemm::{spgemm, spgemm_flops, AccumChoice};
 use tsgemm_sparse::{BitRows, Csr, Idx};
@@ -285,6 +291,8 @@ fn run<S: Semiring>(
 
     let use_spa = matches!(plan.accum.resolve(d), AccumChoice::Spa);
     let mut acc = RowAccum::<S>::new(use_spa, d);
+    // On the bit path the owner's own B rows are value bits, built once.
+    let own_bits = matches!(acc, RowAccum::Bits(_)).then(|| BitRows::from_values::<S>(&b.local));
     let multi_band = tiling.n_col_bands > 1;
     // The output, one row band at a time. With a single column band a
     // step's rows are final and go straight here; otherwise each step's
@@ -295,9 +303,11 @@ fn run<S: Semiring>(
     // The rows each step visits, rebuilt at the first step of a row band.
     let mut active = ActiveRows::new();
     let mut seg_nnz = Vec::new();
-    // Received B rows indexed over the column band, remote partials over
-    // the row band; both reused across steps.
+    // Received B rows indexed over the column band (as entries, or as bit
+    // rows on the bit path), remote partials over the row band; all reused
+    // across steps.
     let mut brows = RowIndex::new();
+    let mut fetched = BitRowIndex::new();
     let mut cparts = RowIndex::new();
 
     let trip_bytes = std::mem::size_of::<Trip<S::T>>() as u64;
@@ -368,7 +378,25 @@ fn run<S: Semiring>(
                 active.fill(&a.local, lo_l..hi_l, tiling);
             }
             let (cb_lo, cb_hi) = tiling.col_band_range(cb);
-            brows.fill(&brecv, cb_lo, (cb_hi - cb_lo) as usize, S::zero());
+            let width = (cb_hi - cb_lo) as usize;
+            let b_rows = match &own_bits {
+                Some(own) => {
+                    let trips = brecv.iter().flatten();
+                    fetched.fill::<S>(
+                        width,
+                        d,
+                        trips.map(|t| ((t.row - cb_lo) as usize, t.col, t.val)),
+                    );
+                    BRows::Bits {
+                        own,
+                        fetched: &fetched,
+                    }
+                }
+                None => {
+                    brows.fill(&brecv, cb_lo, width, S::zero());
+                    BRows::Entries(&brows)
+                }
+            };
             cparts.fill(&crecv, band_lo, hi_l - lo_l, S::zero());
             // The indexes hold their own copies; free the received buffers
             // before the output grows.
@@ -382,7 +410,7 @@ fn run<S: Semiring>(
                 a_local: &a.local,
                 b_local: &b.local,
                 own: modes.own(rb, cb),
-                brows: &brows,
+                brows: b_rows,
                 cparts: &cparts,
                 mask: BandMask { mask, first: lo_l },
                 d,
@@ -513,20 +541,24 @@ impl<T: Copy> RowBlock<T> {
     }
 }
 
-/// The row accumulator of one invocation (picked once from the config).
-/// Each pass matches on it once and then runs a loop monomorphised for the
-/// concrete accumulator, so the per-flop ⊕ is never dispatched.
+/// The row accumulator of one invocation (picked once from the config and
+/// the semiring: where the SPA is picked, a boolean semiring takes bit
+/// rows). Each pass matches on it once and then runs a loop monomorphised
+/// for the concrete accumulator, so the per-flop ⊕ is never dispatched.
 enum RowAccum<S: Semiring> {
+    Bits(BitAccum<S>),
     Spa(Spa<S>),
     Hash(HashAccum<S>),
 }
 
 impl<S: Semiring> RowAccum<S> {
     fn new(use_spa: bool, width: usize) -> Self {
-        if use_spa {
-            Self::Spa(Spa::new(width))
-        } else {
+        if !use_spa {
             Self::Hash(HashAccum::with_capacity(64))
+        } else if let Some(bits) = BitAccum::new(width) {
+            Self::Bits(bits)
+        } else {
+            Self::Spa(Spa::new(width))
         }
     }
 
@@ -538,6 +570,7 @@ impl<S: Semiring> RowAccum<S> {
         out: &mut RowBlock<S::T>,
     ) -> u64 {
         match self {
+            Self::Bits(a) => owner_bit_rows(ctx, segs, a, out),
             Self::Spa(a) => owner_rows(ctx, segs, a, out),
             Self::Hash(a) => owner_rows(ctx, segs, a, out),
         }
@@ -551,6 +584,7 @@ impl<S: Semiring> RowAccum<S> {
         out: &mut RowBlock<S::T>,
     ) {
         match self {
+            Self::Bits(a) => band.merge_into(nrows, a, out),
             Self::Spa(a) => band.merge_into(nrows, a, out),
             Self::Hash(a) => band.merge_into(nrows, a, out),
         }
@@ -770,7 +804,7 @@ struct OwnerCtx<'a, S: Semiring> {
     /// Sub-tile modes of this step, indexed by serving rank.
     own: &'a [Option<TileMode>],
     /// Received B rows over the column band.
-    brows: &'a RowIndex<(Idx, S::T)>,
+    brows: BRows<'a, S::T>,
     /// Received partial C rows over the row band.
     cparts: &'a RowIndex<(Idx, S::T)>,
     /// Columns dropped from each drained row or segment.
@@ -779,27 +813,39 @@ struct OwnerCtx<'a, S: Semiring> {
     d: usize,
 }
 
-/// A `B` row the tile owner multiplies: a row of its own `B` block
-/// (diagonal) or one received for a local-mode sub-tile.
+/// The `B` rows received for a step's local-mode sub-tiles, over its
+/// column band.
+#[derive(Clone, Copy)]
+enum BRows<'a, T> {
+    /// As entries, for the SPA and hash accumulators.
+    Entries(&'a RowIndex<(Idx, T)>),
+    /// As value bits, for [`BitAccum`], with the owner's own `B` block.
+    Bits {
+        own: &'a BitRows,
+        fetched: &'a BitRowIndex,
+    },
+}
+
+/// Where the tile owner finds the `B` row an `A` entry selects.
+#[derive(Clone, Copy)]
+enum BSrc {
+    /// Local row of its own `B` block (diagonal sub-tile).
+    Own(usize),
+    /// Row of the column band, received for a local-mode sub-tile.
+    Fetched(usize),
+}
+
+/// A `B` row the tile owner multiplies entry by entry.
 enum BRow<'a, T> {
     Own(&'a [Idx], &'a [T]),
     Fetched(&'a [(Idx, T)]),
 }
 
-impl<T> BRow<'_, T> {
-    fn len(&self) -> usize {
-        match self {
-            BRow::Own(cols, _) => cols.len(),
-            BRow::Fetched(entries) => entries.len(),
-        }
-    }
-}
-
 impl<'a, S: Semiring> OwnerCtx<'a, S> {
-    /// The `A` values of `seg` paired with the `B` rows they multiply, in
-    /// column order. Columns of remote-mode sub-tiles are skipped: their
-    /// products arrive as partials.
-    fn b_rows(&self, seg: &Segment) -> impl Iterator<Item = (S::T, BRow<'a, S::T>)> + '_ {
+    /// The `A` values of `seg` paired with where the `B` rows they multiply
+    /// are, in column order. Columns of remote-mode sub-tiles are skipped:
+    /// their products arrive as partials.
+    fn b_srcs(&self, seg: &Segment) -> impl Iterator<Item = (S::T, BSrc)> + '_ {
         let (cols, vals) = self.a_local.row(self.band_lo + seg.row as usize);
         // Serving rank of the current column and the end of its range;
         // columns are sorted, so the owner only changes at range ends.
@@ -810,27 +856,54 @@ impl<'a, S: Semiring> OwnerCtx<'a, S> {
                 j = self.dist.owner(c);
                 j_hi = self.dist.range(j).1;
             }
-            let brow = if j == self.me {
-                let (bc, bv) = self.b_local.row((c - self.my_lo) as usize);
-                BRow::Own(bc, bv)
+            let src = if j == self.me {
+                BSrc::Own((c - self.my_lo) as usize)
             } else {
                 match self.own[j] {
-                    Some(TileMode::Local) => {
-                        BRow::Fetched(self.brows.row((c - self.cb_lo) as usize))
-                    }
+                    Some(TileMode::Local) => BSrc::Fetched((c - self.cb_lo) as usize),
                     Some(TileMode::Remote) => return None,
                     // The serving rank saw no entries for this sub-tile,
                     // yet we hold one: A and A^c have diverged — a bug.
                     None => unreachable!("sub-tile of column {c} served by {j} has no mode"),
                 }
             };
-            Some((vals[idx], brow))
+            Some((vals[idx], src))
         })
+    }
+
+    /// The stored entries of a `B` row: the products its `A` entry forms.
+    fn b_len(&self, src: BSrc) -> usize {
+        match (src, self.brows) {
+            (BSrc::Own(k), _) => self.b_local.row_nnz(k),
+            (BSrc::Fetched(i), BRows::Entries(rows)) => rows.row(i).len(),
+            (BSrc::Fetched(_), BRows::Bits { .. }) => self.b_bits(src).1,
+        }
+    }
+
+    /// A `B` row's value bits and stored length, on the bit path.
+    fn b_bits(&self, src: BSrc) -> (&'a [u64], usize) {
+        match (src, self.brows) {
+            (BSrc::Own(k), BRows::Bits { own, .. }) => (own.row(k), self.b_local.row_nnz(k)),
+            (BSrc::Fetched(i), BRows::Bits { fetched, .. }) => fetched.row(i),
+            (_, BRows::Entries(_)) => unreachable!("B rows are entries"),
+        }
+    }
+
+    /// The entries of a `B` row, on the per-entry path.
+    fn b_row(&self, src: BSrc) -> BRow<'a, S::T> {
+        match (src, self.brows) {
+            (BSrc::Own(k), _) => {
+                let (bc, bv) = self.b_local.row(k);
+                BRow::Own(bc, bv)
+            }
+            (BSrc::Fetched(i), BRows::Entries(rows)) => BRow::Fetched(rows.row(i)),
+            (BSrc::Fetched(_), BRows::Bits { .. }) => unreachable!("fetched rows are bit rows"),
+        }
     }
 
     /// The products of `seg`'s row the owner forms: its flops.
     fn products(&self, seg: &Segment) -> usize {
-        self.b_rows(seg).map(|(_, brow)| brow.len()).sum()
+        self.b_srcs(seg).map(|(_, src)| self.b_len(src)).sum()
     }
 
     /// At most this many entries drain from `seg`'s row: one per product
@@ -868,9 +941,9 @@ fn owner_rows<S: Semiring, A: Accumulator<S>>(
             out.indptr.push(out.indices.len());
             continue;
         }
-        for (va, brow) in ctx.b_rows(seg) {
-            flops += brow.len() as u64;
-            match brow {
+        for (va, src) in ctx.b_srcs(seg) {
+            flops += ctx.b_len(src) as u64;
+            match ctx.b_row(src) {
                 BRow::Own(bc, bv) => {
                     for (&bcol, &bval) in bc.iter().zip(bv) {
                         acc.accumulate(bcol, S::mul(va, bval));
@@ -893,6 +966,43 @@ fn owner_rows<S: Semiring, A: Accumulator<S>>(
             "row {} drained past its reserved bound",
             seg.row
         );
+    }
+    flops
+}
+
+/// [`owner_rows`] on bit rows, for a boolean semiring: each row ORs the
+/// value bits of the `B` row every `true` `A` entry selects, sets the bits
+/// of its `true` partials and drains less its mask. Every selected `B` row
+/// counts its stored entries as flops, whatever the values, so the stats
+/// are the per-entry pass's. `out` is first sized for the columns each
+/// row's mask leaves.
+fn owner_bit_rows<S: Semiring>(
+    ctx: &OwnerCtx<'_, S>,
+    segs: &[Segment],
+    acc: &mut BitAccum<S>,
+    out: &mut RowBlock<S::T>,
+) -> u64 {
+    let free = |seg: &Segment| ctx.d - ctx.mask.count(seg.row as usize);
+    out.reserve(segs.len(), segs.iter().map(free).sum());
+    let mut flops = 0u64;
+    for seg in segs {
+        let row = seg.row as usize;
+        if ctx.mask.full(row) {
+            flops += ctx.products(seg) as u64;
+            out.indptr.push(out.indices.len());
+            continue;
+        }
+        for (va, src) in ctx.b_srcs(seg) {
+            let (words, len) = ctx.b_bits(src);
+            flops += len as u64;
+            if !S::is_zero(&va) {
+                acc.or_row(words);
+            }
+        }
+        for &(col, val) in ctx.cparts.row(row) {
+            acc.accumulate(col, val);
+        }
+        drain_row(acc, ctx.mask.row(row), out);
     }
     flops
 }
@@ -1383,7 +1493,7 @@ mod tests {
                 a_local: &a,
                 b_local: &b_local,
                 own: &own,
-                brows: &brows,
+                brows: BRows::Entries(&brows),
                 cparts: &cparts,
                 mask: BandMask {
                     mask: None,

@@ -14,14 +14,20 @@
 //! is less than the number of nonzeros required from B"). Diagonal
 //! sub-tiles (tile owner == B owner) never communicate. The decisions are
 //! then shared with tile owners in one tiny AllToAll of flags.
+//!
+//! While `d ≤ 1024` (the SPA regime) the symbolic count runs on bit rows:
+//! each band row ORs the pattern bits of the `B` rows it selects, and a
+//! popcount gives its output nonzeros. Wider outputs materialise the
+//! sub-tile and run a symbolic SpGEMM.
 
 use crate::colpart::Trip;
 use crate::dist::DistCsr;
 use crate::tiling::{needed_rows, subtile_csr, TileBuckets, Tiling};
 use tsgemm_net::{Comm, FlightEventKind};
+use tsgemm_sparse::bits::or_words;
 use tsgemm_sparse::semiring::Semiring;
-use tsgemm_sparse::spgemm::spgemm_symbolic;
-use tsgemm_sparse::Idx;
+use tsgemm_sparse::spgemm::{spgemm_symbolic, SPA_WIDTH_THRESHOLD};
+use tsgemm_sparse::{BitRows, Csr, Idx};
 
 /// How a sub-tile's contribution is computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,6 +104,59 @@ fn needed_b_nnz<T: Copy, U: Copy>(
         .sum()
 }
 
+/// Counts what a sub-tile times the local `B` block produces: its output
+/// nonzeros (the partial-C entries a remote-mode sub-tile ships) and its
+/// products. Both counts are those of [`spgemm_symbolic`].
+struct ProducedCount<'a, T> {
+    b: &'a Csr<T>,
+    /// With at most [`SPA_WIDTH_THRESHOLD`] columns: `B`'s pattern bits,
+    /// built at the first count, and one row of words per band row.
+    bits: Option<(BitRows, Vec<u64>)>,
+}
+
+impl<'a, T: Copy> ProducedCount<'a, T> {
+    fn new(b: &'a Csr<T>) -> Self {
+        Self { b, bits: None }
+    }
+
+    /// `(nnz, products)` of the sub-tile `bucket` (rows of the band that
+    /// starts at global row `band_lo` and holds `band_rows` rows).
+    fn count(&mut self, bucket: &[(Idx, Idx, T)], band_lo: Idx, band_rows: usize) -> (u64, u64) {
+        let b = self.b;
+        if b.ncols() > SPA_WIDTH_THRESHOLD {
+            let tile = subtile_csr(bucket, band_lo, band_rows, b.nrows());
+            let produced = spgemm_symbolic(&tile, b);
+            return (produced.nnz() as u64, produced.flops);
+        }
+        let (pattern, rows) = self
+            .bits
+            .get_or_insert_with(|| (BitRows::from_pattern(b), Vec::new()));
+        let stride = b.ncols().div_ceil(64);
+        if rows.len() < band_rows * stride {
+            rows.resize(band_rows * stride, 0);
+        }
+        let row = |r: Idx| (r - band_lo) as usize * stride..(r - band_lo + 1) as usize * stride;
+        let mut flops = 0;
+        // Bucket entries come in runs of one column, i.e. one `B` row.
+        for run in bucket.chunk_by(|x, y| x.1 == y.1) {
+            let k = run[0].1 as usize;
+            flops += (b.row_nnz(k) * run.len()) as u64;
+            for &(r, _, _) in run {
+                or_words(&mut rows[row(r)], pattern.row(k));
+            }
+        }
+        // A row's first visit takes its count and clears it for the next
+        // sub-tile; any later visit finds it empty.
+        let mut nnz = 0;
+        for &(r, _, _) in bucket {
+            for w in &mut rows[row(r)] {
+                nnz += std::mem::take(w).count_ones() as u64;
+            }
+        }
+        (nnz, flops)
+    }
+}
+
 /// Runs the symbolic step and the mode-exchange AllToAll.
 ///
 /// `buckets` is the per-sub-tile view of this rank's `A^c` block; `b` is the
@@ -162,6 +221,7 @@ fn decide<S: Semiring>(
     // Drop-guard: the span closes even if a future edit adds an early return
     // from the symbolic loop. The closure only runs when tracing is on.
     let symbolic_span = comm.span(|| format!("{tag_prefix}:symbolic"));
+    let mut produced = ProducedCount::new(&b.local);
 
     for ((i, rb, cb), bucket) in buckets.iter() {
         if i == me {
@@ -171,17 +231,11 @@ fn decide<S: Semiring>(
         // nnz the exec phase will pack as partial-C triplets if this
         // sub-tile goes remote. Exact because the numeric kernel never
         // produces explicit zeros here (⊕-cancellation would require them).
-        let produced_nnz = |comm: &mut Comm| {
+        let mut produced_nnz = |comm: &mut Comm| {
             let (band_lo, band_hi) = tiling.band_range(i, rb as usize);
-            let tile = subtile_csr(
-                bucket,
-                band_lo,
-                (band_hi - band_lo) as usize,
-                b.local.nrows(),
-            );
-            let produced = spgemm_symbolic(&tile, &b.local);
-            comm.add_flops(produced.flops);
-            produced.nnz() as u64
+            let (nnz, flops) = produced.count(bucket, band_lo, (band_hi - band_lo) as usize);
+            comm.add_flops(flops);
+            nnz
         };
         let mode = match policy {
             ModePolicy::LocalOnly => {
@@ -418,6 +472,37 @@ mod tests {
         for (n_diag, self_serve, self_own) in out.results {
             assert!(n_diag > 0, "ER diagonal blocks are dense enough");
             assert!(!self_serve && !self_own, "diagonal must not be exchanged");
+        }
+    }
+
+    #[test]
+    fn bit_row_counts_equal_the_symbolic_spgemm() {
+        // Each sub-tile of a short, narrow tiling, counted on bit rows
+        // (d ≤ 1024, word boundaries included) and by a symbolic SpGEMM
+        // (d > 1024) against that SpGEMM itself.
+        let n = 48;
+        let acoo = erdos_renyi(n, 6.0, 21);
+        for d in [1, 63, 64, 65, 130, 1024, 1025] {
+            let bcoo = random_tall(n, d, if d < 8 { 0.0 } else { 0.9 }, 22 + d as u64);
+            World::run(3, |comm| {
+                let (tiling, buckets, b) =
+                    setup(comm, n, &acoo, &bcoo, d, |dist| Tiling::new(dist, 5, 12));
+                let mut produced = ProducedCount::new(&b.local);
+                let mut counted = 0;
+                for ((i, rb, _), bucket) in buckets.iter() {
+                    let (lo, hi) = tiling.band_range(i, rb as usize);
+                    let tile = subtile_csr(bucket, lo, (hi - lo) as usize, b.local.nrows());
+                    let want = spgemm_symbolic(&tile, &b.local);
+                    let got = produced.count(bucket, lo, (hi - lo) as usize);
+                    assert_eq!(
+                        got,
+                        (want.nnz() as u64, want.flops),
+                        "d={d} sub-tile ({i}, {rb})"
+                    );
+                    counted += got.0;
+                }
+                assert!(counted > 0, "d={d}: every sub-tile was empty");
+            });
         }
     }
 

@@ -24,8 +24,13 @@
 //! A drain can take one row of a [`BitRows`](crate::bits::BitRows) mask and
 //! drop the columns set in it (a structural complement mask): the SPA clears
 //! them a word at a time, the hash accumulator tests one bit per key.
+//!
+//! Under the boolean semiring ([`Semiring::BIT_ONE`]) a [`BitAccum`] holds
+//! a row as bits alone: a whole `B` row is ORed in a word at a time
+//! ([`BitAccum::or_row`]) instead of one slot per product, and the drain
+//! emits the same entries a [`Spa`] would.
 
-use crate::bits::bit_set;
+use crate::bits::{bit_set, or_words};
 use crate::semiring::Semiring;
 use crate::Idx;
 
@@ -112,6 +117,62 @@ impl<S: Semiring> Accumulator<S> for Spa<S> {
                 bits &= bits - 1;
             }
         }
+    }
+}
+
+/// The row accumulator of a boolean semiring: one bit per column, set
+/// where the row holds `S`'s one. Nothing else is stored, since a boolean
+/// `⊕` of values that are not all zero is always one.
+pub struct BitAccum<S: Semiring> {
+    words: Vec<u64>,
+    one: S::T,
+}
+
+impl<S: Semiring> BitAccum<S> {
+    /// An accumulator for rows of `width` columns, or `None` when `S` is
+    /// not boolean ([`Semiring::BIT_ONE`]).
+    pub fn new(width: usize) -> Option<Self> {
+        S::BIT_ONE.map(|one| Self {
+            words: vec![0; width.div_ceil(64)],
+            one,
+        })
+    }
+
+    /// ⊕-accumulates a whole row given as value bits: `∨` word by word.
+    #[inline]
+    pub fn or_row(&mut self, row: &[u64]) {
+        or_words(&mut self.words, row);
+    }
+}
+
+impl<S: Semiring> Accumulator<S> for BitAccum<S> {
+    #[inline]
+    fn accumulate(&mut self, idx: Idx, val: S::T) {
+        let i = idx as usize;
+        debug_assert!(i < self.words.len() * 64, "bit index {i} out of width");
+        if !S::is_zero(&val) {
+            self.words[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// Columns holding one (an accumulated zero touches nothing).
+    fn touched(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn drain_sorted(&mut self, mask: &[u64], idx_out: &mut Vec<Idx>, val_out: &mut Vec<S::T>) {
+        for (k, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word) & !mask.get(k).copied().unwrap_or(0);
+            while bits != 0 {
+                idx_out.push((k * 64 + bits.trailing_zeros() as usize) as Idx);
+                val_out.push(self.one);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    fn reset(&mut self) {
+        self.words.fill(0);
     }
 }
 
@@ -425,6 +486,48 @@ mod tests {
         }
         check(Spa::new(128));
         check(HashAccum::with_capacity(2));
+    }
+
+    #[test]
+    fn bit_accum_drains_what_the_spa_drains() {
+        assert!(BitAccum::<PlusTimesF64>::new(8).is_none());
+        for width in [1, 63, 64, 65, 130] {
+            let mut spa = Spa::<BoolAndOr>::new(width);
+            let mut bits = BitAccum::<BoolAndOr>::new(width).unwrap();
+            // Explicit false contributions, repeats and a whole row ORed in.
+            let stream: Vec<(Idx, bool)> = (0..3 * width as Idx)
+                .map(|i| ((i * 7 + 3) % width as Idx, i % 3 == 0))
+                .collect();
+            let row = crate::BitRows::from_pattern(&crate::Csr::from_parts(
+                1,
+                width,
+                vec![0, 1],
+                vec![width as Idx - 1],
+                vec![true],
+            ));
+            let mask: Vec<u64> = (0..width.div_ceil(64)).map(|k| 0x5555 << k).collect();
+            for mask in [&[][..], &mask] {
+                for &(i, v) in &stream {
+                    spa.accumulate(i, v);
+                    bits.accumulate(i, v);
+                }
+                spa.accumulate(width as Idx - 1, true);
+                bits.or_row(row.row(0));
+                let ones: std::collections::BTreeSet<Idx> = stream
+                    .iter()
+                    .filter(|e| e.1)
+                    .map(|e| e.0)
+                    .chain([width as Idx - 1])
+                    .collect();
+                assert_eq!(bits.touched(), ones.len(), "width {width}");
+                assert_eq!(
+                    drain_masked(&mut bits, mask),
+                    drain_masked(&mut spa, mask),
+                    "width {width}"
+                );
+                assert_eq!(bits.touched(), 0, "width {width}: the drain clears the row");
+            }
+        }
     }
 
     #[test]

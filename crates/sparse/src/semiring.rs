@@ -38,6 +38,13 @@ pub trait Semiring: Copy + Send + Sync + 'static {
     fn is_zero(v: &Self::T) -> bool {
         *v == Self::zero()
     }
+
+    /// `Some(one)` for the boolean semiring, whose every value is `zero()`
+    /// or `one`, with `⊗` the `∧` and `⊕` the `∨` of one bit; `None` for
+    /// every other semiring. A kernel may then multiply rows of one bit
+    /// per column (see [`BitAccum`](crate::accum::BitAccum)), which drains
+    /// the bits the per-entry loop would.
+    const BIT_ONE: Option<Self::T> = None;
 }
 
 /// The usual arithmetic semiring `(+, ×)` over `f64`.
@@ -67,6 +74,8 @@ pub struct BoolAndOr;
 
 impl Semiring for BoolAndOr {
     type T = bool;
+
+    const BIT_ONE: Option<bool> = Some(true);
 
     #[inline]
     fn zero() -> bool {

@@ -11,17 +11,23 @@
 //! `len · size_of::<T>()`. The generators used here produce strictly
 //! positive values, so no ⊕-cancellation can shrink the numeric result
 //! below the symbolic count.
+//!
+//! Every workload runs at `d` = 8, 65 and 1025: up to 1024 columns the
+//! symbolic step counts output patterns on bit rows (65 ends in a partial
+//! word), above it a symbolic SpGEMM does.
 
 use tsgemm::core::{ts_spgemm, BlockDist, ColBlocks, DistCsr, ModePolicy, TsConfig};
 use tsgemm::net::{MetricsRegistry, TraceConfig, World};
 use tsgemm::sparse::gen::{erdos_renyi, random_tall, rmat, web_like, RMAT_WEB};
 use tsgemm::sparse::{Coo, PlusTimesF64};
 
+/// The output widths every workload runs at.
+const WIDTHS: [usize; 3] = [8, 65, 1025];
+
 /// Runs TS-SpGEMM with tracing on and asserts, for every rank, that the
 /// measured collective bytes equal the registry's symbolic predictions.
-fn assert_volume_matches(acoo: &Coo<f64>, p: usize, policy: ModePolicy, label: &str) {
+fn assert_volume_matches(acoo: &Coo<f64>, d: usize, p: usize, policy: ModePolicy, label: &str) {
     let n = acoo.nrows();
-    let d = 8;
     let bcoo = random_tall(n, d, 0.4, 0xC0DE);
     let cfg = TsConfig {
         policy,
@@ -42,7 +48,7 @@ fn assert_volume_matches(acoo: &Coo<f64>, p: usize, policy: ModePolicy, label: &
             let predicted = registry.counter(coll, "predicted_bytes");
             assert_eq!(
                 sent, predicted,
-                "{label} p={p} {policy:?} rank {rank} {coll}: \
+                "{label} d={d} p={p} {policy:?} rank {rank} {coll}: \
                  measured {sent} != predicted {predicted}"
             );
             // The registry lowering agrees with the raw profile accounting.
@@ -54,7 +60,7 @@ fn assert_volume_matches(acoo: &Coo<f64>, p: usize, policy: ModePolicy, label: &
     if p > 1 {
         assert!(
             any_traffic,
-            "{label} p={p} {policy:?} moved no bytes at all"
+            "{label} d={d} p={p} {policy:?} moved no bytes at all"
         );
     }
 }
@@ -62,13 +68,15 @@ fn assert_volume_matches(acoo: &Coo<f64>, p: usize, policy: ModePolicy, label: &
 #[test]
 fn predictions_exact_erdos_renyi() {
     let acoo = erdos_renyi(96, 6.0, 0xE5);
-    for p in [1, 2, 4, 7] {
-        for policy in [
-            ModePolicy::Hybrid,
-            ModePolicy::LocalOnly,
-            ModePolicy::RemoteOnly,
-        ] {
-            assert_volume_matches(&acoo, p, policy, "er");
+    for d in WIDTHS {
+        for p in [1, 2, 4, 7] {
+            for policy in [
+                ModePolicy::Hybrid,
+                ModePolicy::LocalOnly,
+                ModePolicy::RemoteOnly,
+            ] {
+                assert_volume_matches(&acoo, d, p, policy, "er");
+            }
         }
     }
 }
@@ -76,13 +84,15 @@ fn predictions_exact_erdos_renyi() {
 #[test]
 fn predictions_exact_rmat() {
     let acoo = rmat(7, 8.0, RMAT_WEB, 0xA7);
-    for p in [1, 2, 4, 7] {
-        for policy in [
-            ModePolicy::Hybrid,
-            ModePolicy::LocalOnly,
-            ModePolicy::RemoteOnly,
-        ] {
-            assert_volume_matches(&acoo, p, policy, "rmat");
+    for d in WIDTHS {
+        for p in [1, 2, 4, 7] {
+            for policy in [
+                ModePolicy::Hybrid,
+                ModePolicy::LocalOnly,
+                ModePolicy::RemoteOnly,
+            ] {
+                assert_volume_matches(&acoo, d, p, policy, "rmat");
+            }
         }
     }
 }
@@ -90,13 +100,15 @@ fn predictions_exact_rmat() {
 #[test]
 fn predictions_exact_web_like() {
     let acoo = web_like(7, 6.0, 0x3EB);
-    for p in [1, 2, 4, 7] {
-        for policy in [
-            ModePolicy::Hybrid,
-            ModePolicy::LocalOnly,
-            ModePolicy::RemoteOnly,
-        ] {
-            assert_volume_matches(&acoo, p, policy, "web");
+    for d in WIDTHS {
+        for p in [1, 2, 4, 7] {
+            for policy in [
+                ModePolicy::Hybrid,
+                ModePolicy::LocalOnly,
+                ModePolicy::RemoteOnly,
+            ] {
+                assert_volume_matches(&acoo, d, p, policy, "web");
+            }
         }
     }
 }
@@ -107,25 +119,28 @@ fn predictions_exact_under_short_tiles() {
     // packing; predictions accumulate across every step and must still
     // match exactly.
     let acoo = erdos_renyi(80, 5.0, 0x51);
-    let bcoo = random_tall(80, 6, 0.5, 0x52);
     let cfg = TsConfig {
         tile_height: Some(4),
         tile_width: Some(20),
         ..TsConfig::default()
     };
-    let out = World::run_traced(4, TraceConfig::enabled(), |comm| {
-        let dist = BlockDist::new(80, 4);
-        let a = DistCsr::from_global_coo::<PlusTimesF64>(&acoo, dist, comm.rank(), 80);
-        let ac = ColBlocks::build::<PlusTimesF64>(comm, &a);
-        let b = DistCsr::from_global_coo::<PlusTimesF64>(&bcoo, dist, comm.rank(), 6);
-        ts_spgemm::<PlusTimesF64>(comm, &a, &ac, &b, &cfg).1
-    });
-    for (profile, registry) in out.profiles.iter().zip(&out.metrics) {
-        for coll in ["ts:bfetch", "ts:cret"] {
-            assert_eq!(
-                profile.bytes_sent_tagged(coll),
-                registry.counter(coll, "predicted_bytes"),
-            );
+    for d in WIDTHS {
+        let bcoo = random_tall(80, d, 0.5, 0x52);
+        let out = World::run_traced(4, TraceConfig::enabled(), |comm| {
+            let dist = BlockDist::new(80, 4);
+            let a = DistCsr::from_global_coo::<PlusTimesF64>(&acoo, dist, comm.rank(), 80);
+            let ac = ColBlocks::build::<PlusTimesF64>(comm, &a);
+            let b = DistCsr::from_global_coo::<PlusTimesF64>(&bcoo, dist, comm.rank(), d);
+            ts_spgemm::<PlusTimesF64>(comm, &a, &ac, &b, &cfg).1
+        });
+        for (profile, registry) in out.profiles.iter().zip(&out.metrics) {
+            for coll in ["ts:bfetch", "ts:cret"] {
+                assert_eq!(
+                    profile.bytes_sent_tagged(coll),
+                    registry.counter(coll, "predicted_bytes"),
+                    "d={d} {coll}"
+                );
+            }
         }
     }
 }

@@ -12,6 +12,11 @@
 //! multiply through a [`TsPlan`] must equal `andnot(A ⊗ B, M)` bit for bit
 //! at the same cost, and one plan reused for several multiplies must equal
 //! as many fresh `ts_spgemm` calls.
+//!
+//! The last oracle is the per-entry (∧,∨) multiply: with the SPA picked,
+//! the tile owner runs on bit rows, and it must give what the hash
+//! accumulator's per-entry path gives, at the same cost, on operands that
+//! store explicit `false` entries.
 
 use proptest::prelude::*;
 use tsgemm::core::{ts_spgemm, BlockDist, ColBlocks, DistCsr, TsConfig, TsLocalStats, TsPlan};
@@ -19,6 +24,7 @@ use tsgemm::net::{CollKind, CostModel, RankProfile, World};
 use tsgemm::sparse::ewise::andnot;
 use tsgemm::sparse::gen::{erdos_renyi, random_tall};
 use tsgemm::sparse::spgemm::AccumChoice;
+use tsgemm::sparse::{BitRows, Csc};
 use tsgemm::sparse::{BoolAndOr, Coo, Csr, Idx, PlusTimesF64, Sel2ndMinF64, Semiring};
 
 /// Dense reference product over stored entries: `C[i][j] = ⊕_k A[i][k] ⊗
@@ -336,4 +342,104 @@ fn one_plan_serves_many_multiplies() {
     }
     // Equal in order on every rank, so equal per tag.
     assert_eq!(rc, fc, "collective records");
+}
+
+/// A boolean matrix with the pattern of `m` whose stored values are
+/// `false` about one time in three, built with `Csr::from_parts` so that
+/// the `false` entries stay stored (a kernel's drain never makes one).
+fn with_false_entries(m: &Coo<f64>, seed: u64) -> Csr<bool> {
+    let m = m.to_csr::<PlusTimesF64>();
+    let vals = (0..m.nnz() as u64)
+        .map(|k| !(k.wrapping_mul(0x9E37_79B9) ^ seed).is_multiple_of(3))
+        .collect();
+    let (indptr, indices) = (m.indptr().to_vec(), m.indices().to_vec());
+    Csr::from_parts(m.nrows(), m.ncols(), indptr, indices, vals)
+}
+
+/// One (∧,∨) multiply of the global `a` and `b` through a [`TsPlan`] on
+/// `p` ranks with `threads` pool workers, less `mask` when one is given.
+/// Every block is cut straight from the global matrices, so it keeps their
+/// `false` entries (`ColBlocks::build` would drop them from `A^c`).
+fn bool_plan_run(
+    a: &Csr<bool>,
+    b: &Csr<bool>,
+    mask: Option<&Csr<bool>>,
+    p: usize,
+    threads: usize,
+    cfg: &TsConfig,
+) -> MaskedRun<bool> {
+    let n = a.nrows();
+    let out = World::run_with_threads(p, threads, |comm| {
+        let (dist, rank) = (BlockDist::new(n, p), comm.rank());
+        let (lo, hi) = dist.range(rank);
+        let rows = |m: &Csr<bool>| m.slice_rows(lo as usize, hi as usize);
+        let a_rows = DistCsr {
+            dist,
+            rank,
+            local: rows(a),
+        };
+        let local = Csc::from_csr(&a.slice_cols(lo, hi));
+        let ac = ColBlocks { dist, rank, local };
+        let b_rows = DistCsr {
+            dist,
+            rank,
+            local: rows(b),
+        };
+        let m = mask.map(|m| BitRows::from_pattern(&rows(m)));
+        TsPlan::new(comm, &a_rows, &ac, cfg).multiply::<BoolAndOr>(
+            comm,
+            &b_rows,
+            m.as_ref(),
+            &cfg.tag,
+        )
+    });
+    let modeled = CostModel::default().model_run(&out.profiles).total();
+    (out.results, coll_facts(&out.profiles), modeled)
+}
+
+#[test]
+fn bool_bit_rows_match_the_per_entry_path() {
+    let configured = tsgemm::pool::configured_threads();
+    let n = 40;
+    let a = with_false_entries(&erdos_renyi(n, 4.0, 0xB17), 0x5EED);
+    let mut nonempty = 0;
+    for d in [1, 63, 64, 65, 130, 1024] {
+        let b = with_false_entries(&random_tall(n, d, 0.6, 0xB18 + d as u64), 0xF00D);
+        let mask = masks(n, d, 0xB19)[1]
+            .map_values(|_| true)
+            .to_csr::<BoolAndOr>();
+        for p in [1, 2, 4, 7] {
+            for narrow in [false, true] {
+                for threads in [1, 4] {
+                    for mask in [None, Some(&mask)] {
+                        let run = |accum| {
+                            let mut cfg = TsConfig {
+                                accum,
+                                ..TsConfig::default()
+                            };
+                            if narrow {
+                                cfg = cfg.with_width_factor(1, BlockDist::new(n, p));
+                            }
+                            bool_plan_run(&a, &b, mask, p, threads, &cfg)
+                        };
+                        let (bits, entries) = (run(AccumChoice::Spa), run(AccumChoice::Hash));
+                        let at = format!(
+                            "d={d} p={p} narrow={narrow} threads={threads} mask={}",
+                            mask.is_some()
+                        );
+                        for (r, ((bc, bs), (ec, es))) in bits.0.iter().zip(&entries.0).enumerate() {
+                            let as_bits = |c| csr_bits(c, |v: bool| v as u64);
+                            assert_eq!(as_bits(bc), as_bits(ec), "{at} rank {r}: output");
+                            assert_eq!(bs, es, "{at} rank {r}: stats");
+                            nonempty += bc.nnz();
+                        }
+                        assert_eq!(bits.1, entries.1, "{at}: collectives");
+                        assert_eq!(bits.2, entries.2, "{at}: modeled seconds");
+                    }
+                }
+            }
+        }
+    }
+    assert!(nonempty > 0, "every product was empty");
+    tsgemm::pool::set_threads(configured);
 }
