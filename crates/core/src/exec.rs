@@ -290,9 +290,7 @@ fn run<S: Semiring>(
     };
 
     let use_spa = matches!(plan.accum.resolve(d), AccumChoice::Spa);
-    let mut acc = RowAccum::<S>::new(use_spa, d);
-    // On the bit path the owner's own B rows are value bits, built once.
-    let own_bits = matches!(acc, RowAccum::Bits(_)).then(|| BitRows::from_values::<S>(&b.local));
+    let mut acc = RowAccum::<S>::new(use_spa, d, &b.local);
     let multi_band = tiling.n_col_bands > 1;
     // The output, one row band at a time. With a single column band a
     // step's rows are final and go straight here; otherwise each step's
@@ -303,11 +301,10 @@ fn run<S: Semiring>(
     // The rows each step visits, rebuilt at the first step of a row band.
     let mut active = ActiveRows::new();
     let mut seg_nnz = Vec::new();
-    // Received B rows indexed over the column band (as entries, or as bit
-    // rows on the bit path), remote partials over the row band; all reused
-    // across steps.
+    // Received B rows indexed over the column band (as entries; the bit
+    // path keeps them in `acc`), remote partials over the row band; both
+    // reused across steps.
     let mut brows = RowIndex::new();
-    let mut fetched = BitRowIndex::new();
     let mut cparts = RowIndex::new();
 
     let trip_bytes = std::mem::size_of::<Trip<S::T>>() as u64;
@@ -378,25 +375,7 @@ fn run<S: Semiring>(
                 active.fill(&a.local, lo_l..hi_l, tiling);
             }
             let (cb_lo, cb_hi) = tiling.col_band_range(cb);
-            let width = (cb_hi - cb_lo) as usize;
-            let b_rows = match &own_bits {
-                Some(own) => {
-                    let trips = brecv.iter().flatten();
-                    fetched.fill::<S>(
-                        width,
-                        d,
-                        trips.map(|t| ((t.row - cb_lo) as usize, t.col, t.val)),
-                    );
-                    BRows::Bits {
-                        own,
-                        fetched: &fetched,
-                    }
-                }
-                None => {
-                    brows.fill(&brecv, cb_lo, width, S::zero());
-                    BRows::Entries(&brows)
-                }
-            };
+            acc.index_brows(&brecv, cb_lo, (cb_hi - cb_lo) as usize, d, &mut brows);
             cparts.fill(&crecv, band_lo, hi_l - lo_l, S::zero());
             // The indexes hold their own copies; free the received buffers
             // before the output grows.
@@ -410,7 +389,7 @@ fn run<S: Semiring>(
                 a_local: &a.local,
                 b_local: &b.local,
                 own: modes.own(rb, cb),
-                brows: b_rows,
+                brows: &brows,
                 cparts: &cparts,
                 mask: BandMask { mask, first: lo_l },
                 d,
@@ -437,12 +416,11 @@ fn run<S: Semiring>(
                     total
                 }));
                 let chunks = nnz_chunks_range(&seg_nnz, 0, segs.len(), pool.nthreads());
-                let ctx = &ctx;
+                let (ctx, acc) = (&ctx, &acc);
                 let jobs = chunks.into_iter().map(|chunk| {
                     move || {
                         let mut rows = RowBlock::new();
-                        let f =
-                            RowAccum::<S>::new(use_spa, d).owner_rows(ctx, &segs[chunk], &mut rows);
+                        let f = acc.lane_rows(ctx, &segs[chunk], &mut rows);
                         (rows, f)
                     }
                 });
@@ -543,22 +521,57 @@ impl<T: Copy> RowBlock<T> {
 
 /// The row accumulator of one invocation (picked once from the config and
 /// the semiring: where the SPA is picked, a boolean semiring takes bit
-/// rows). Each pass matches on it once and then runs a loop monomorphised
-/// for the concrete accumulator, so the per-flop ⊕ is never dispatched.
+/// rows, and then holds the owner's `B` rows as bits too). Each pass
+/// matches on it once and then runs a loop monomorphised for the concrete
+/// accumulator, so the per-flop ⊕ is never dispatched.
 enum RowAccum<S: Semiring> {
-    Bits(BitAccum<S>),
+    Bits(BitAccum<S>, BitBRows),
     Spa(Spa<S>),
     Hash(HashAccum<S>),
 }
 
+/// The `B` rows of the bit path as value bits: the owner's own block,
+/// built once per multiply, and the rows each step fetches.
+struct BitBRows {
+    own: BitRows,
+    fetched: BitRowIndex,
+}
+
 impl<S: Semiring> RowAccum<S> {
-    fn new(use_spa: bool, width: usize) -> Self {
+    /// An accumulator for rows of `width` columns; `b_local` is the owner's
+    /// own `B` block.
+    fn new(use_spa: bool, width: usize, b_local: &Csr<S::T>) -> Self {
         if !use_spa {
             Self::Hash(HashAccum::with_capacity(64))
         } else if let Some(bits) = BitAccum::new(width) {
-            Self::Bits(bits)
+            let rows = BitBRows {
+                own: BitRows::from_values::<S>(b_local),
+                fetched: BitRowIndex::new(),
+            };
+            Self::Bits(bits, rows)
         } else {
             Self::Spa(Spa::new(width))
+        }
+    }
+
+    /// Indexes a step's received `B` rows over the column band of `width`
+    /// rows from `cb_lo`: as value bits on the bit path, into `brows`
+    /// otherwise.
+    fn index_brows(
+        &mut self,
+        brecv: &[Vec<Trip<S::T>>],
+        cb_lo: Idx,
+        width: usize,
+        d: usize,
+        brows: &mut RowIndex<(Idx, S::T)>,
+    ) {
+        match self {
+            Self::Bits(_, rows) => {
+                let trips = brecv.iter().flatten();
+                let entries = trips.map(|t| ((t.row - cb_lo) as usize, t.col, t.val));
+                rows.fetched.fill::<S>(width, d, entries);
+            }
+            Self::Spa(_) | Self::Hash(_) => brows.fill(brecv, cb_lo, width, S::zero()),
         }
     }
 
@@ -570,9 +583,20 @@ impl<S: Semiring> RowAccum<S> {
         out: &mut RowBlock<S::T>,
     ) -> u64 {
         match self {
-            Self::Bits(a) => owner_bit_rows(ctx, segs, a, out),
+            Self::Bits(a, rows) => owner_bit_rows(ctx, rows, segs, a, out),
             Self::Spa(a) => owner_rows(ctx, segs, a, out),
             Self::Hash(a) => owner_rows(ctx, segs, a, out),
+        }
+    }
+
+    /// [`Self::owner_rows`] on a fresh accumulator of the same kind, for
+    /// one pool lane; the bit path's `B` rows are shared.
+    fn lane_rows(&self, ctx: &OwnerCtx<'_, S>, segs: &[Segment], out: &mut RowBlock<S::T>) -> u64 {
+        match self {
+            // Empty between rows: every row drains it.
+            Self::Bits(a, rows) => owner_bit_rows(ctx, rows, segs, &mut a.clone(), out),
+            Self::Spa(_) => owner_rows(ctx, segs, &mut Spa::new(ctx.d), out),
+            Self::Hash(_) => owner_rows(ctx, segs, &mut HashAccum::with_capacity(64), out),
         }
     }
 
@@ -584,7 +608,7 @@ impl<S: Semiring> RowAccum<S> {
         out: &mut RowBlock<S::T>,
     ) {
         match self {
-            Self::Bits(a) => band.merge_into(nrows, a, out),
+            Self::Bits(a, _) => band.merge_into(nrows, a, out),
             Self::Spa(a) => band.merge_into(nrows, a, out),
             Self::Hash(a) => band.merge_into(nrows, a, out),
         }
@@ -803,27 +827,14 @@ struct OwnerCtx<'a, S: Semiring> {
     b_local: &'a Csr<S::T>,
     /// Sub-tile modes of this step, indexed by serving rank.
     own: &'a [Option<TileMode>],
-    /// Received B rows over the column band.
-    brows: BRows<'a, S::T>,
+    /// Received B rows over the column band (empty on the bit path).
+    brows: &'a RowIndex<(Idx, S::T)>,
     /// Received partial C rows over the row band.
     cparts: &'a RowIndex<(Idx, S::T)>,
     /// Columns dropped from each drained row or segment.
     mask: BandMask<'a>,
     /// Output columns.
     d: usize,
-}
-
-/// The `B` rows received for a step's local-mode sub-tiles, over its
-/// column band.
-#[derive(Clone, Copy)]
-enum BRows<'a, T> {
-    /// As entries, for the SPA and hash accumulators.
-    Entries(&'a RowIndex<(Idx, T)>),
-    /// As value bits, for [`BitAccum`], with the owner's own `B` block.
-    Bits {
-        own: &'a BitRows,
-        fetched: &'a BitRowIndex,
-    },
 }
 
 /// Where the tile owner finds the `B` row an `A` entry selects.
@@ -839,6 +850,15 @@ enum BSrc {
 enum BRow<'a, T> {
     Own(&'a [Idx], &'a [T]),
     Fetched(&'a [(Idx, T)]),
+}
+
+impl<T> BRow<'_, T> {
+    fn len(&self) -> usize {
+        match self {
+            BRow::Own(cols, _) => cols.len(),
+            BRow::Fetched(entries) => entries.len(),
+        }
+    }
 }
 
 impl<'a, S: Semiring> OwnerCtx<'a, S> {
@@ -871,39 +891,24 @@ impl<'a, S: Semiring> OwnerCtx<'a, S> {
         })
     }
 
-    /// The stored entries of a `B` row: the products its `A` entry forms.
-    fn b_len(&self, src: BSrc) -> usize {
-        match (src, self.brows) {
-            (BSrc::Own(k), _) => self.b_local.row_nnz(k),
-            (BSrc::Fetched(i), BRows::Entries(rows)) => rows.row(i).len(),
-            (BSrc::Fetched(_), BRows::Bits { .. }) => self.b_bits(src).1,
-        }
-    }
-
-    /// A `B` row's value bits and stored length, on the bit path.
-    fn b_bits(&self, src: BSrc) -> (&'a [u64], usize) {
-        match (src, self.brows) {
-            (BSrc::Own(k), BRows::Bits { own, .. }) => (own.row(k), self.b_local.row_nnz(k)),
-            (BSrc::Fetched(i), BRows::Bits { fetched, .. }) => fetched.row(i),
-            (_, BRows::Entries(_)) => unreachable!("B rows are entries"),
-        }
-    }
-
-    /// The entries of a `B` row, on the per-entry path.
-    fn b_row(&self, src: BSrc) -> BRow<'a, S::T> {
-        match (src, self.brows) {
-            (BSrc::Own(k), _) => {
-                let (bc, bv) = self.b_local.row(k);
-                BRow::Own(bc, bv)
-            }
-            (BSrc::Fetched(i), BRows::Entries(rows)) => BRow::Fetched(rows.row(i)),
-            (BSrc::Fetched(_), BRows::Bits { .. }) => unreachable!("fetched rows are bit rows"),
-        }
+    /// The `A` values of `seg` paired with the `B` rows they multiply, as
+    /// entries (the per-entry path).
+    fn b_rows(&self, seg: &Segment) -> impl Iterator<Item = (S::T, BRow<'a, S::T>)> + '_ {
+        self.b_srcs(seg).map(|(va, src)| {
+            let brow = match src {
+                BSrc::Own(k) => {
+                    let (bc, bv) = self.b_local.row(k);
+                    BRow::Own(bc, bv)
+                }
+                BSrc::Fetched(i) => BRow::Fetched(self.brows.row(i)),
+            };
+            (va, brow)
+        })
     }
 
     /// The products of `seg`'s row the owner forms: its flops.
     fn products(&self, seg: &Segment) -> usize {
-        self.b_srcs(seg).map(|(_, src)| self.b_len(src)).sum()
+        self.b_rows(seg).map(|(_, brow)| brow.len()).sum()
     }
 
     /// At most this many entries drain from `seg`'s row: one per product
@@ -941,9 +946,9 @@ fn owner_rows<S: Semiring, A: Accumulator<S>>(
             out.indptr.push(out.indices.len());
             continue;
         }
-        for (va, src) in ctx.b_srcs(seg) {
-            flops += ctx.b_len(src) as u64;
-            match ctx.b_row(src) {
+        for (va, brow) in ctx.b_rows(seg) {
+            flops += brow.len() as u64;
+            match brow {
                 BRow::Own(bc, bv) => {
                     for (&bcol, &bval) in bc.iter().zip(bv) {
                         acc.accumulate(bcol, S::mul(va, bval));
@@ -974,26 +979,38 @@ fn owner_rows<S: Semiring, A: Accumulator<S>>(
 /// value bits of the `B` row every `true` `A` entry selects, sets the bits
 /// of its `true` partials and drains less its mask. Every selected `B` row
 /// counts its stored entries as flops, whatever the values, so the stats
-/// are the per-entry pass's. `out` is first sized for the columns each
-/// row's mask leaves.
+/// are the per-entry pass's.
+///
+/// No bound sizes `out` up front: the columns a row's mask leaves are up to
+/// `d` per row however few products it has, and the products themselves
+/// are what this pass does not walk. The drained entries grow `out`
+/// instead, so its capacity stays within a constant factor of them.
 fn owner_bit_rows<S: Semiring>(
     ctx: &OwnerCtx<'_, S>,
+    rows: &BitBRows,
     segs: &[Segment],
     acc: &mut BitAccum<S>,
     out: &mut RowBlock<S::T>,
 ) -> u64 {
-    let free = |seg: &Segment| ctx.d - ctx.mask.count(seg.row as usize);
-    out.reserve(segs.len(), segs.iter().map(free).sum());
+    // A `B` row's value bits and stored length.
+    let b_bits = |src| match src {
+        BSrc::Own(k) => (rows.own.row(k), ctx.b_local.row_nnz(k)),
+        BSrc::Fetched(i) => rows.fetched.row(i),
+    };
+    out.indptr.reserve(segs.len());
     let mut flops = 0u64;
     for seg in segs {
         let row = seg.row as usize;
         if ctx.mask.full(row) {
-            flops += ctx.products(seg) as u64;
+            flops += ctx
+                .b_srcs(seg)
+                .map(|(_, src)| b_bits(src).1 as u64)
+                .sum::<u64>();
             out.indptr.push(out.indices.len());
             continue;
         }
         for (va, src) in ctx.b_srcs(seg) {
-            let (words, len) = ctx.b_bits(src);
+            let (words, len) = b_bits(src);
             flops += len as u64;
             if !S::is_zero(&va) {
                 acc.or_row(words);
@@ -1493,7 +1510,7 @@ mod tests {
                 a_local: &a,
                 b_local: &b_local,
                 own: &own,
-                brows: BRows::Entries(&brows),
+                brows: &brows,
                 cparts: &cparts,
                 mask: BandMask {
                     mask: None,
@@ -1504,7 +1521,8 @@ mod tests {
             let segs = active.step(cb);
             for (use_spa, seen) in [true, false].into_iter().zip(&mut seen) {
                 let mut out = RowBlock::new();
-                RowAccum::<PlusTimesF64>::new(use_spa, d).owner_rows(&ctx, segs, &mut out);
+                RowAccum::<PlusTimesF64>::new(use_spa, d, &b_local)
+                    .owner_rows(&ctx, segs, &mut out);
                 for (k, seg) in segs.iter().enumerate() {
                     let drained = out.indptr[k + 1] - out.indptr[k];
                     let bound = ctx.row_bound(seg);
@@ -1528,6 +1546,58 @@ mod tests {
             (1, 3, 1, 1),
         ];
         assert_eq!(seen, [want, want]);
+    }
+
+    #[test]
+    fn bit_rows_output_capacity_follows_its_entries() {
+        // Many rows, one output entry each, at the widest bit-path d: the
+        // output must grow with what drains, not with d per row.
+        let (n, d) = (4096, 1024);
+        let dist = BlockDist::new(n, 1);
+        let tiling = Tiling::new(dist, n, n);
+        let diag = |ncols: usize, col: fn(usize) -> usize| {
+            let indices = (0..n).map(|r| col(r) as Idx).collect();
+            Csr::from_parts(n, ncols, (0..=n).collect(), indices, vec![true; n])
+        };
+        let a = diag(n, |r| r);
+        let b_local = diag(d, |r| r % 1024);
+        let mut active = ActiveRows::new();
+        active.fill(&a, 0..n, &tiling);
+        let (brows, mut cparts) = (RowIndex::new(), RowIndex::new());
+        cparts.fill(&[vec![]], 0, n, false);
+        let ctx = OwnerCtx::<BoolAndOr> {
+            my_lo: 0,
+            band_lo: 0,
+            cb_lo: 0,
+            me: 0,
+            dist,
+            a_local: &a,
+            b_local: &b_local,
+            own: &[None],
+            brows: &brows,
+            cparts: &cparts,
+            mask: BandMask {
+                mask: None,
+                first: 0,
+            },
+            d,
+        };
+        let mut acc = RowAccum::<BoolAndOr>::new(true, d, &b_local);
+        assert!(matches!(acc, RowAccum::Bits(..)));
+        let segs = active.step(0);
+        let (mut out, mut lane) = (RowBlock::new(), RowBlock::new());
+        assert_eq!(acc.owner_rows(&ctx, segs, &mut out), n as u64);
+        assert_eq!(acc.lane_rows(&ctx, segs, &mut lane), n as u64);
+        for block in [&out, &lane] {
+            assert_eq!(block.indices.len(), n);
+            assert_eq!(block.indptr, (0..=n).collect::<Vec<_>>());
+            assert!(
+                block.indices.capacity() <= 2 * n && block.values.capacity() <= 2 * n,
+                "capacity {} for {n} entries",
+                block.indices.capacity()
+            );
+        }
+        assert_eq!(out.indices, lane.indices);
     }
 
     #[test]

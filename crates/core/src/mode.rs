@@ -107,6 +107,13 @@ fn needed_b_nnz<T: Copy, U: Copy>(
 /// Counts what a sub-tile times the local `B` block produces: its output
 /// nonzeros (the partial-C entries a remote-mode sub-tile ships) and its
 /// products. Both counts are those of [`spgemm_symbolic`].
+///
+/// Up to [`SPA_WIDTH_THRESHOLD`] columns it ORs pattern bits; above, it
+/// runs [`spgemm_symbolic`] on the sub-tile. The fallback bounds memory,
+/// not time: the pattern bits take `⌈d/64⌉` words for every `B` row and
+/// band row however sparse they are, which grows without limit with `d`.
+/// The cutoff is the SPA's, so the regime matches the owner's bit path; it
+/// was not measured as the speed crossover of the two counts.
 struct ProducedCount<'a, T> {
     b: &'a Csr<T>,
     /// With at most [`SPA_WIDTH_THRESHOLD`] columns: `B`'s pattern bits,

@@ -123,6 +123,7 @@ impl<S: Semiring> Accumulator<S> for Spa<S> {
 /// The row accumulator of a boolean semiring: one bit per column, set
 /// where the row holds `S`'s one. Nothing else is stored, since a boolean
 /// `⊕` of values that are not all zero is always one.
+#[derive(Clone)]
 pub struct BitAccum<S: Semiring> {
     words: Vec<u64>,
     one: S::T,

@@ -12,9 +12,9 @@
 //! positive values, so no ⊕-cancellation can shrink the numeric result
 //! below the symbolic count.
 //!
-//! Every workload runs at `d` = 8, 65 and 1025: up to 1024 columns the
-//! symbolic step counts output patterns on bit rows (65 ends in a partial
-//! word), above it a symbolic SpGEMM does.
+//! Every workload runs at `d` = 8 (6 under short tiles), 65 and 1025: up
+//! to 1024 columns the symbolic step counts output patterns on bit rows (65
+//! ends in a partial word), above it a symbolic SpGEMM does.
 
 use tsgemm::core::{ts_spgemm, BlockDist, ColBlocks, DistCsr, ModePolicy, TsConfig};
 use tsgemm::net::{MetricsRegistry, TraceConfig, World};
@@ -124,7 +124,7 @@ fn predictions_exact_under_short_tiles() {
         tile_width: Some(20),
         ..TsConfig::default()
     };
-    for d in WIDTHS {
+    for d in [6, 65, 1025] {
         let bcoo = random_tall(80, d, 0.5, 0x52);
         let out = World::run_traced(4, TraceConfig::enabled(), |comm| {
             let dist = BlockDist::new(80, 4);
